@@ -173,14 +173,18 @@ def find_roots(p: Poly, cfg: RootFindConfig = RootFindConfig()) -> RootSet:
     mults = tuple(m for _, m in reps)
     residuals = tuple(abs(evaluate(p, r)) for r in roots)
 
+    # the terms of p grow like |r|^n, so a residual is judged relative to
+    # that scale (the convention of the critical-point test in smale.py)
     accept = 1e-8 * (1.0 + p.coeff_scale)
-    if any(res > accept for res in residuals):
-        raise RootFindError(
-            f"root iteration did not converge within {cfg.max_iters} sweeps "
-            f"(worst residual {max(residuals):.3e} > {accept:.3e})",
-            roots=roots,
-            residuals=residuals,
-        )
+    for r, res in zip(roots, residuals):
+        bound = accept * max(1.0, abs(r)) ** n
+        if res > bound:
+            raise RootFindError(
+                f"root iteration did not converge within {cfg.max_iters} sweeps "
+                f"(residual {res:.3e} > {bound:.3e} at |r| = {abs(r):.3e})",
+                roots=roots,
+                residuals=residuals,
+            )
     return RootSet(roots, mults, residuals)
 
 

@@ -24,7 +24,7 @@ from .cstar import (
     enumerate_critical_set,
 )
 from .dynamics import OrbitConfig, mlp_check
-from .errors import CapacityError, DomainError, SmaleLabError
+from .errors import CapacityError, DomainError, PreconditionError, SmaleLabError
 from .polycore import (
     CRITICAL_TOL,
     Poly,
@@ -107,7 +107,8 @@ def _normalized_extremes(cs) -> tuple[float, float]:
 
 
 def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
-    from scipy.optimize import minimize
+    # imported on first use: callers that never search skip its load time
+    from .simplex import nelder_mead
 
     if not 2 <= n <= 12:
         raise DomainError(f"search supports degrees 2..12, got {n}")
@@ -121,7 +122,7 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
     sign = -1.0 if maximize else 1.0
 
     def objective(x) -> float:
-        cs = critical_points_from_params([float(v) for v in x])
+        cs = critical_points_from_params(x)
         for i in range(len(cs)):
             for j in range(i + 1, len(cs)):
                 if abs(cs[i] - cs[j]) < cfg.collision_tol:
@@ -139,27 +140,27 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
         for _ in range(m):
             x0.append(st.uniform_in(math.log(0.3), math.log(3.0)))
             x0.append(st.uniform_in(0.0, 2.0 * math.pi))
-        res = minimize(
+        res = nelder_mead(
             objective,
             x0,
-            method="Nelder-Mead",
+            maxiter=cfg.max_iter,
+            xatol=1e-9,
+            fatol=1e-11,
+            adaptive=m > 1,
             bounds=bounds,
-            options={
-                "maxiter": cfg.max_iter,
-                "xatol": 1e-9,
-                "fatol": 1e-11,
-                "adaptive": m > 1,
-            },
         )
-        val = sign * float(res.fun)
+        val = sign * res.fun
         better = best_val is None or (val > best_val if maximize else val < best_val)
         if math.isfinite(val) and better:
             best_val = val
-            best_x = [float(v) for v in res.x]
-        assert best_val is not None
+            best_x = list(res.x)
+        if best_val is None:
+            # every table row records a finite best so far
+            break
         table.append(RestartRecord(r, val, best_val))
 
-    assert best_x is not None and best_val is not None
+    if best_x is None:
+        raise PreconditionError("no restart reached a finite objective")
     cs = critical_points_from_params(best_x)
     return SearchState(
         params=tuple(best_x),

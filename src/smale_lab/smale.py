@@ -189,13 +189,14 @@ def sample_points(p: Poly, sampler: SampleConfig) -> list[complex]:
 
 def _refine(p: Poly, starts, maximize: bool, sampler: SampleConfig):
     """Local simplex refinement of the ratio surface from the given starts."""
-    from scipy.optimize import minimize
+    # imported on first use: callers that never refine skip its load time
+    from .simplex import nelder_mead
 
     at = s_at if maximize else ds_at
     sign = -1.0 if maximize else 1.0
 
     def objective(xy):
-        z = complex(float(xy[0]), float(xy[1]))
+        z = complex(xy[0], xy[1])
         try:
             return sign * at(p, z).ratio
         except (PreconditionError, DomainError):
@@ -204,22 +205,19 @@ def _refine(p: Poly, starts, maximize: bool, sampler: SampleConfig):
     best_val = None
     best_z = None
     for z0 in starts:
-        res = minimize(
+        res = nelder_mead(
             objective,
             [z0.real, z0.imag],
-            method="Nelder-Mead",
-            options={
-                "maxiter": sampler.refine_max_iter,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-            },
+            maxiter=sampler.refine_max_iter,
+            xatol=1e-10,
+            fatol=1e-12,
         )
-        val = sign * float(res.fun)
+        val = sign * res.fun
         if math.isfinite(val) and (
             best_val is None or (val > best_val if maximize else val < best_val)
         ):
             best_val = val
-            best_z = complex(float(res.x[0]), float(res.x[1]))
+            best_z = complex(res.x[0], res.x[1])
     return best_val, best_z
 
 

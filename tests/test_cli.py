@@ -205,3 +205,25 @@ class TestContract:
         text = out.read_text()
         # a third (irrational in binary) must print with full precision
         assert "1.3333333333333333" in text
+
+    def test_commands_load_no_array_libraries(self):
+        # the package has no runtime dependency: refinement and search run
+        # on plain floats, so neither numpy nor scipy is ever imported
+        script = "\n".join([
+            "import json, sys",
+            "from smale_lab import cli",
+            "codes = [",
+            "    cli.run(['analyze', '--poly', '{\"roots\":[[0,0],[2,0],[1,1]]}',",
+            "             '--samples', '30', '--seed', '1']),",
+            "    cli.run(['search', '--mode', 's0', '--degree', '3',",
+            "             '--restarts', '2', '--seed', '1']),",
+            "]",
+            "loaded = [m for m in ('scipy', 'numpy') if m in sys.modules]",
+            "print(json.dumps({'codes': codes, 'loaded': loaded}))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0], "loaded": []}

@@ -112,3 +112,20 @@ def test_roots_satisfy_residual_bound_vs_scale():
         p = from_roots(roots)
         for r in find_roots(p).roots:
             assert abs(evaluate(p, r)) <= 1e-8 * (1 + p.coeff_scale)
+
+
+def test_far_critical_point_accepted_by_relative_residual():
+    # each of these has one critical point at |r| ~ 34-74, where the
+    # absolute residual of a converged root exceeds 1e-8 * (1 + scale)
+    from smale_lab.polycore import derivative
+    from smale_lab.search import random_normalized_poly
+
+    for s in (1007, 1566, 2232):
+        p = random_normalized_poly(8, Stream(s))
+        rs = critical_points(p)
+        assert rs.total == 7
+        dp = derivative(p)
+        ddp = derivative(dp)
+        for r in rs.roots:
+            step = abs(evaluate(dp, r) / evaluate(ddp, r))
+            assert step <= 1e-12 * max(1.0, abs(r))

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import polar
-from smale_lab.errors import CapacityError, DomainError
+from smale_lab.errors import CapacityError, DomainError, PreconditionError
 from smale_lab.polycore import evaluate, is_normalized
 from smale_lab.rng import Stream
 from smale_lab.search import (
@@ -88,6 +88,12 @@ class TestExtremalSearch:
             state = search_extremal_s0(n, SearchConfig(restarts=8, seed=5))
             ceiling = min(1.0, 4.0 ** ((n - 2) / (n - 1)))
             assert state.objective <= ceiling + 1e-6
+
+    def test_no_finite_restart_raises(self):
+        # a collision guard wider than the search region rejects every point
+        cfg = SearchConfig(restarts=2, collision_tol=1e9, max_iter=20)
+        with pytest.raises(PreconditionError, match="no restart reached a finite"):
+            search_extremal_s0(3, cfg)
 
     def test_degree_range(self):
         with pytest.raises(DomainError):
