@@ -10,115 +10,33 @@ from .errors import (
     RootFindError,
     SmaleLabError,
 )
-from .polycore import (
-    Poly,
-    Scalar,
-    antiderivative_zero_at_origin,
-    derivative,
-    divided_difference,
-    evaluate,
-    from_coeffs,
-    from_roots,
-    kth_derivative,
-    renormalize_at,
-)
-from .rootfind import RootFindConfig, RootSet, critical_points, find_roots
-from .smale import (
-    QuotientWitness,
-    SampleConfig,
-    ScalarReport,
-    bound_report,
-    ds0,
-    ds_at,
-    estimate_DS,
-    estimate_S,
-    higher_order_quantity,
-    s0,
-    s_at,
-    smale_quotient,
-)
-from .cstar import (
-    CriticalSet,
-    CStarElement,
-    CStarPoly,
-    CStarVerdict,
-    check_smale,
-    check_strong_forms,
-    cstar_derivative_eval,
-    cstar_dynamics_check,
-    cstar_eval,
-    degree2_higher_order,
-    degree2_identity_residual,
-    enumerate_critical_set,
-)
-from .dynamics import OrbitConfig, OrbitResult, mlp_check, orbit
-from .search import (
-    SearchConfig,
-    SearchState,
-    extremal_family,
-    hunt_cstar,
-    hunt_mlp,
-    run_hunt,
-    search_extremal_ds0,
-    search_extremal_s0,
-)
-from .verify import Certificate
+from .polycore import from_coeffs, from_roots
+from .rootfind import RootFindConfig
+from .smale import SampleConfig, bound_report, ds0, ds_at, s0, s_at
+from .cstar import CStarElement, CStarPoly, check_smale
+from .dynamics import OrbitConfig, mlp_check
+from .search import SearchConfig, search_extremal_s0
 
 __all__ = [
     "CapacityError",
-    "Certificate",
-    "CriticalSet",
     "CStarElement",
     "CStarPoly",
-    "CStarVerdict",
     "DomainError",
     "OrbitConfig",
-    "OrbitResult",
-    "Poly",
     "PreconditionError",
-    "QuotientWitness",
     "RootFindConfig",
     "RootFindError",
-    "RootSet",
     "SampleConfig",
-    "Scalar",
-    "ScalarReport",
     "SearchConfig",
-    "SearchState",
     "SmaleLabError",
-    "antiderivative_zero_at_origin",
     "bound_report",
     "check_smale",
-    "check_strong_forms",
-    "critical_points",
-    "cstar_derivative_eval",
-    "cstar_dynamics_check",
-    "cstar_eval",
-    "degree2_higher_order",
-    "degree2_identity_residual",
-    "derivative",
-    "divided_difference",
     "ds0",
     "ds_at",
-    "enumerate_critical_set",
-    "estimate_DS",
-    "estimate_S",
-    "evaluate",
-    "extremal_family",
-    "find_roots",
     "from_coeffs",
     "from_roots",
-    "higher_order_quantity",
-    "hunt_cstar",
-    "hunt_mlp",
-    "kth_derivative",
     "mlp_check",
-    "orbit",
-    "renormalize_at",
-    "run_hunt",
     "s0",
     "s_at",
-    "search_extremal_ds0",
     "search_extremal_s0",
-    "smale_quotient",
 ]

@@ -18,13 +18,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import __version__
 from .dynamics import OrbitConfig, mlp_check, orbit
 from .errors import SmaleLabError
 from .polycore import Poly, is_normalized, poly_from_json
 from .report import (
-    certificate_to_json,
     complex_pair,
     dumps,
     poly_payload,
@@ -41,19 +41,16 @@ from .search import (
     search_extremal_s0,
 )
 from .smale import CONJ_SLACK, SampleConfig, bound_report
-from .verify import Certificate, exact_normalized_ratios
+from .verify import Certificate, confirm_normalized
 
 DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    subcommand: str
     seed: int
     out: str | None
     fmt: str
-    rootcfg: RootFindConfig
-    jobs: int
 
 
 def _default_seed() -> int:
@@ -79,6 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 42, or SMALE_LAB_SEED)")
         sp.add_argument("--out", type=str, default=None, help="report output path (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def hunt_knobs(sp):
         sp.add_argument("--step-tol", type=float, default=1e-14, help="root iteration relative step tolerance")
         sp.add_argument("--max-iters", type=int, default=200, help="max root iteration sweeps")
         sp.add_argument("--cluster-tol", type=float, default=None, help="root clustering distance (default 1e-7 x Cauchy bound)")
@@ -96,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--strong", action="store_true", help="also check the operator-order strong forms")
     common(sp)
+    hunt_knobs(sp)
 
     sp = sub.add_parser("search", help="extremal search / counterexample hunt")
     sp.add_argument("--mode", choices=("s0", "ds0", "cstar"), required=True)
@@ -104,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=64)
     sp.add_argument("--trials", type=int, default=1000)
     common(sp)
+    hunt_knobs(sp)
 
     sp = sub.add_parser("dynamics", help="critical orbit checks")
     group = sp.add_mutually_exclusive_group(required=True)
@@ -136,6 +137,41 @@ def _parse_poly(raw: str) -> Poly:
     return poly_from_json(obj)
 
 
+def _hunt_knobs(ns) -> dict:
+    return {
+        "rootcfg": RootFindConfig(
+            step_tol=ns.step_tol, max_iters=ns.max_iters, cluster_tol=ns.cluster_tol
+        ),
+        "jobs": max(1, ns.jobs),
+    }
+
+
+def _normalized_certificate(kind, p: Poly, seed, key, value, slack) -> Certificate | None:
+    """An exact-checked s0_sharp or ds0_dual certificate for normalized p,
+    or None when value lies within slack of the conjectured (n-1)/n or 1/n."""
+    n = p.degree
+    if kind == "s0_sharp":
+        bound, exact_key = Fraction(n - 1, n), "exact_min_ratio_sq"
+        beyond = value > (n - 1) / n + slack
+    else:
+        bound, exact_key = Fraction(1, n), "exact_max_ratio_sq"
+        beyond = value < 1.0 / n - slack
+    if not beyond:
+        return None
+    ratio_sq, confirmed = confirm_normalized(
+        kind, p.coeffs, cached_critical_points(p).roots, bound
+    )
+    return Certificate(
+        kind=kind,
+        degree=n,
+        dim=1,
+        trial=0,
+        seed=seed,
+        confirmed=confirmed,
+        data={"poly": poly_payload(p), key: value, exact_key: ratio_sq},
+    )
+
+
 def _cmd_analyze(ns, cfg: RunConfig) -> int:
     start = time.monotonic()
     p = _parse_poly(ns.poly)
@@ -146,37 +182,10 @@ def _cmd_analyze(ns, cfg: RunConfig) -> int:
 
     certificates: list[Certificate] = []
     if rep.s0 is not None and rep.ds0 is not None:
-        n = rep.degree
-        sharp = (n - 1) / n
-        if rep.s0 > sharp + CONJ_SLACK or rep.ds0 < 1.0 / n - CONJ_SLACK:
-            crits = list(cached_critical_points(p).roots)
-            lo2, hi2 = exact_normalized_ratios(list(p.coeffs), crits)
-            if rep.s0 > sharp + CONJ_SLACK and float(lo2) > sharp ** 2:
-                certificates.append(
-                    Certificate(
-                        kind="s0_sharp",
-                        degree=n,
-                        dim=1,
-                        trial=0,
-                        seed=cfg.seed,
-                        confirmed=True,
-                        data={"poly": poly_payload(p), "s0": rep.s0,
-                              "exact_min_ratio_sq": float(lo2)},
-                    )
-                )
-            if rep.ds0 < 1.0 / n - CONJ_SLACK and float(hi2) < (1.0 / n) ** 2:
-                certificates.append(
-                    Certificate(
-                        kind="ds0_dual",
-                        degree=n,
-                        dim=1,
-                        trial=0,
-                        seed=cfg.seed,
-                        confirmed=True,
-                        data={"poly": poly_payload(p), "ds0": rep.ds0,
-                              "exact_max_ratio_sq": float(hi2)},
-                    )
-                )
+        for kind, key, value in (("s0_sharp", "s0", rep.s0), ("ds0_dual", "ds0", rep.ds0)):
+            cert = _normalized_certificate(kind, p, cfg.seed, key, value, CONJ_SLACK)
+            if cert is not None and cert.confirmed:
+                certificates.append(cert)
 
     payload = {
         "kind": "analyze",
@@ -185,7 +194,7 @@ def _cmd_analyze(ns, cfg: RunConfig) -> int:
         "poly": poly_payload(p),
         "normalized": is_normalized(p),
         "report": scalar_report_to_json(rep),
-        "certificates": [certificate_to_json(c) for c in certificates],
+        "certificates": [c.to_json() for c in certificates],
         "wall_time_s": time.monotonic() - start,
     }
     _emit(payload, cfg)
@@ -204,8 +213,7 @@ def _cmd_cstar(ns, cfg: RunConfig) -> int:
         ns.trials,
         scfg,
         strong=ns.strong,
-        rootcfg=cfg.rootcfg,
-        jobs=cfg.jobs,
+        **_hunt_knobs(ns),
     )
     payload = {
         "kind": "cstar",
@@ -224,7 +232,7 @@ def _cmd_cstar(ns, cfg: RunConfig) -> int:
             "sharp_margin": result.stats.sharp_margin,
             "dual_margin": result.stats.dual_margin,
         },
-        "certificates": [certificate_to_json(c) for c in result.certificates],
+        "certificates": [c.to_json() for c in result.certificates],
         "wall_time_s": time.monotonic() - start,
     }
     _emit(payload, cfg)
@@ -235,9 +243,7 @@ def _cmd_search(ns, cfg: RunConfig) -> int:
     start = time.monotonic()
     scfg = SearchConfig(restarts=ns.restarts, seed=cfg.seed)
     if ns.mode == "cstar":
-        result = run_hunt(
-            ns.degree, ns.dim, ns.trials, scfg, rootcfg=cfg.rootcfg, jobs=cfg.jobs
-        )
+        result = run_hunt(ns.degree, ns.dim, ns.trials, scfg, **_hunt_knobs(ns))
         payload = {
             "kind": "search",
             "mode": "cstar",
@@ -245,7 +251,7 @@ def _cmd_search(ns, cfg: RunConfig) -> int:
             "dim": ns.dim,
             "trials": ns.trials,
             "seed": cfg.seed,
-            "certificates": [certificate_to_json(c) for c in result.certificates],
+            "certificates": [c.to_json() for c in result.certificates],
             "worst_min_ratio": result.stats.worst_min_ratio,
             "worst_max_ratio": result.stats.worst_max_ratio,
             "wall_time_s": time.monotonic() - start,
@@ -262,53 +268,16 @@ def _cmd_search(ns, cfg: RunConfig) -> int:
     if ns.mode == "s0":
         state = search_extremal_s0(n, scfg)
         conjectured = (n - 1) / n
-        # the searched supremum may not exceed the weak ceiling 1; beyond
-        # the sharp value it is a candidate finding
-        certificates = []
-        if state.objective > conjectured + 1e-6:
-            from .rootfind import critical_points
-
-            ws = list(critical_points(state.best_poly).roots)
-            lo2, _ = exact_normalized_ratios(list(state.best_poly.coeffs), ws)
-            certificates.append(
-                Certificate(
-                    kind="s0_sharp",
-                    degree=n,
-                    dim=1,
-                    trial=0,
-                    seed=cfg.seed,
-                    confirmed=float(lo2) > conjectured ** 2,
-                    data={
-                        "poly": poly_payload(state.best_poly),
-                        "objective": state.objective,
-                        "exact_min_ratio_sq": float(lo2),
-                    },
-                )
-            )
+        kind = "s0_sharp"
     else:
         state = search_extremal_ds0(n, scfg)
         conjectured = 1.0 / n
-        certificates = []
-        if state.objective < conjectured - 1e-6:
-            from .rootfind import critical_points
-
-            ws = list(critical_points(state.best_poly).roots)
-            _, hi2 = exact_normalized_ratios(list(state.best_poly.coeffs), ws)
-            certificates.append(
-                Certificate(
-                    kind="ds0_dual",
-                    degree=n,
-                    dim=1,
-                    trial=0,
-                    seed=cfg.seed,
-                    confirmed=float(hi2) < conjectured ** 2,
-                    data={
-                        "poly": poly_payload(state.best_poly),
-                        "objective": state.objective,
-                        "exact_max_ratio_sq": float(hi2),
-                    },
-                )
-            )
+        kind = "ds0_dual"
+    # beyond the conjectured value the searched extreme is a candidate finding
+    cert = _normalized_certificate(
+        kind, state.best_poly, cfg.seed, "objective", state.objective, 1e-6
+    )
+    certificates = [] if cert is None else [cert]
 
     payload = {
         "kind": "search",
@@ -318,7 +287,7 @@ def _cmd_search(ns, cfg: RunConfig) -> int:
         "restarts": ns.restarts,
         "conjectured_value": conjectured,
         "state": search_state_to_json(state),
-        "certificates": [certificate_to_json(c) for c in certificates],
+        "certificates": [c.to_json() for c in certificates],
         "wall_time_s": time.monotonic() - start,
     }
     rows = ["n,k,best_value,bound,pass"]
@@ -374,7 +343,7 @@ def _cmd_dynamics(ns, cfg: RunConfig) -> int:
         "sweep_degree": degree,
         "trials": trials,
         "passed": passed,
-        "certificates": [certificate_to_json(c) for c in certs],
+        "certificates": [c.to_json() for c in certs],
         "wall_time_s": time.monotonic() - start,
     }
     _emit(payload, cfg)
@@ -389,18 +358,7 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         seed = ns.seed if ns.seed is not None else _default_seed()
-        cfg = RunConfig(
-            subcommand=ns.subcommand,
-            seed=seed,
-            out=ns.out,
-            fmt=ns.format,
-            rootcfg=RootFindConfig(
-                step_tol=ns.step_tol,
-                max_iters=ns.max_iters,
-                cluster_tol=ns.cluster_tol,
-            ),
-            jobs=max(1, ns.jobs),
-        )
+        cfg = RunConfig(seed=seed, out=ns.out, fmt=ns.format)
         handler = {
             "analyze": _cmd_analyze,
             "cstar": _cmd_cstar,

@@ -25,7 +25,14 @@ from .dynamics import (
     nonzero_fixed_points,
 )
 from .errors import CapacityError, DomainError, PreconditionError
-from .polycore import COINCIDENCE_TOL, CRITICAL_TOL, Poly, from_roots, require_finite
+from .polycore import (
+    COINCIDENCE_TOL,
+    CRITICAL_TOL,
+    Poly,
+    from_roots,
+    require_finite,
+    sum_of_products_derivative,
+)
 from .rootfind import RootFindConfig, RootSet, critical_points
 from .smale import CONJ_SLACK
 
@@ -66,9 +73,6 @@ class CStarElement:
     def __mul__(self, other: "CStarElement") -> "CStarElement":
         self._check_dim(other)
         return CStarElement(tuple(a * b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, lam: complex) -> "CStarElement":
-        return CStarElement(tuple(lam * c for c in self.coords))
 
     def _check_dim(self, other: "CStarElement") -> None:
         if self.dim != other.dim:
@@ -183,21 +187,12 @@ def cstar_derivative_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
     """P'(z): pointwise sum of products with one factor removed."""
     if z.dim != P.dim:
         raise DomainError(f"dimension mismatch: poly {P.dim}, point {z.dim}")
-    n = P.degree
-    out = []
-    for t in range(P.dim):
-        zt = z.coords[t]
-        factors = [zt - r.coords[t] for r in P.roots]
-        prefix = [1.0 + 0.0j] * (n + 1)
-        for i, f in enumerate(factors):
-            prefix[i + 1] = prefix[i] * f
-        suffix = 1.0 + 0.0j
-        acc = 0.0 + 0.0j
-        for j in range(n - 1, -1, -1):
-            acc += prefix[j] * suffix
-            suffix *= factors[j]
-        out.append(acc)
-    return CStarElement(tuple(out))
+    return CStarElement(
+        tuple(
+            sum_of_products_derivative([r.coords[t] for r in P.roots], z.coords[t])
+            for t in range(P.dim)
+        )
+    )
 
 
 def _difference_coords(P: CStarPoly, z: CStarElement, w: CStarElement):
@@ -258,51 +253,6 @@ def _derivative_threshold(P: CStarPoly) -> float:
     return CRITICAL_TOL * max(1.0, scale)
 
 
-def _quotient_records(P: CStarPoly, z: CStarElement, crit: CriticalSet):
-    """Yield (ratio, w, diffs) lazily over the critical product set."""
-    dval = cstar_derivative_eval(P, z)
-    dnorm = dval.norm()
-    if dnorm <= _derivative_threshold(P):
-        raise PreconditionError("z is (numerically) a critical point of P")
-    point_scale = max(1.0, z.norm())
-
-    def gen():
-        for w in crit.elements():
-            dist = max(abs(a - b) for a, b in zip(z.coords, w.coords))
-            if dist <= COINCIDENCE_TOL * max(point_scale, w.norm()):
-                raise PreconditionError("z coincides with a critical element")
-            diffs = _difference_coords(P, z, w)
-            num = max(abs(d) for d in diffs)
-            yield num / (dist * dnorm), w, diffs
-
-    return dval, gen()
-
-
-def check_smale(P: CStarPoly, z: CStarElement) -> CStarVerdict:
-    """Exhaustive min/max of the normalized quotient over the critical set."""
-    crit = enumerate_critical_set(P)
-    _, records = _quotient_records(P, z, crit)
-    n = P.degree
-    min_ratio = math.inf
-    max_ratio = -math.inf
-    best_w = None
-    for ratio, w, _diffs in records:
-        if ratio < min_ratio:
-            min_ratio, best_w = ratio, w
-        if ratio > max_ratio:
-            max_ratio = ratio
-    assert best_w is not None
-    return CStarVerdict(
-        z=z,
-        best_witness=best_w,
-        min_ratio=min_ratio,
-        max_ratio=max_ratio,
-        weak_pass=min_ratio <= 1.0 + CONJ_SLACK,
-        sharp_pass=min_ratio <= (n - 1) / n + CONJ_SLACK,
-        dual_pass=max_ratio >= 1.0 / n - CONJ_SLACK,
-    )
-
-
 def _strong_holds(diffs, z, w, dval, factor_sq, reverse):
     """Coordinatewise positive-element comparison of the squared sides."""
     for t in range(len(diffs)):
@@ -318,34 +268,38 @@ def _strong_holds(diffs, z, w, dval, factor_sq, reverse):
     return True
 
 
-def check_strong_forms(P: CStarPoly, z: CStarElement) -> CStarVerdict:
-    """Norm verdict plus the coordinatewise operator-order strong forms.
-
-    In the model, x <= y for self-adjoint x, y means coordinatewise order,
-    so the strong inequalities reduce to per-coordinate comparisons of
-    squared moduli.  A strong flag is set when some single critical element
-    satisfies the inequality in every coordinate simultaneously.
-    """
+def _check(P: CStarPoly, z: CStarElement, strong: bool) -> CStarVerdict:
+    """Exhaustive min/max of the normalized quotient over the critical set,
+    plus the strong forms when asked; their flags are None otherwise."""
     crit = enumerate_critical_set(P)
-    dval, records = _quotient_records(P, z, crit)
+    dval = cstar_derivative_eval(P, z)
+    dnorm = dval.norm()
+    if dnorm <= _derivative_threshold(P):
+        raise PreconditionError("z is (numerically) a critical point of P")
+    point_scale = max(1.0, z.norm())
     n = P.degree
     sharp_sq = ((n - 1) / n) ** 2
     dual_sq = 1.0 / n ** 2
-    strong_smale = False
-    strong_dual = False
+    strong_smale = strong_dual = False
     min_ratio = math.inf
     max_ratio = -math.inf
     best_w = None
-    for ratio, w, diffs in records:
+    # CStarPoly has degree >= 2, so the critical product is never empty
+    for w in crit.elements():
+        dist = max(abs(a - b) for a, b in zip(z.coords, w.coords))
+        if dist <= COINCIDENCE_TOL * max(point_scale, w.norm()):
+            raise PreconditionError("z coincides with a critical element")
+        diffs = _difference_coords(P, z, w)
+        ratio = max(abs(d) for d in diffs) / (dist * dnorm)
         if ratio < min_ratio:
             min_ratio, best_w = ratio, w
         if ratio > max_ratio:
             max_ratio = ratio
-        if not strong_smale and _strong_holds(diffs, z, w, dval, sharp_sq, False):
-            strong_smale = True
-        if not strong_dual and _strong_holds(diffs, z, w, dval, dual_sq, True):
-            strong_dual = True
-    assert best_w is not None
+        if strong:
+            if not strong_smale and _strong_holds(diffs, z, w, dval, sharp_sq, False):
+                strong_smale = True
+            if not strong_dual and _strong_holds(diffs, z, w, dval, dual_sq, True):
+                strong_dual = True
     return CStarVerdict(
         z=z,
         best_witness=best_w,
@@ -354,9 +308,38 @@ def check_strong_forms(P: CStarPoly, z: CStarElement) -> CStarVerdict:
         weak_pass=min_ratio <= 1.0 + CONJ_SLACK,
         sharp_pass=min_ratio <= (n - 1) / n + CONJ_SLACK,
         dual_pass=max_ratio >= 1.0 / n - CONJ_SLACK,
-        strong_smale_pass=strong_smale,
-        strong_dual_pass=strong_dual,
+        strong_smale_pass=strong_smale if strong else None,
+        strong_dual_pass=strong_dual if strong else None,
     )
+
+
+def check_smale(P: CStarPoly, z: CStarElement) -> CStarVerdict:
+    """Exhaustive min/max of the normalized quotient over the critical set."""
+    return _check(P, z, strong=False)
+
+
+def check_strong_forms(P: CStarPoly, z: CStarElement) -> CStarVerdict:
+    """Norm verdict plus the coordinatewise operator-order strong forms.
+
+    In the model, x <= y for self-adjoint x, y means coordinatewise order,
+    so the strong inequalities reduce to per-coordinate comparisons of
+    squared moduli.  A strong flag is set when some single critical element
+    satisfies the inequality in every coordinate simultaneously.
+    """
+    return _check(P, z, strong=True)
+
+
+def _degree2(a: CStarElement, b: CStarElement, z: CStarElement):
+    """(c, P'(z), per-coordinate P(z) - P(c)) for P = (z - a)(z - b) with
+    critical midpoint c."""
+    a._check_dim(b)
+    a._check_dim(z)
+    P = CStarPoly((a, b))
+    c = CStarElement(tuple((x + y) / 2.0 for x, y in zip(a.coords, b.coords)))
+    dval = cstar_derivative_eval(P, z)
+    if dval.norm() <= COINCIDENCE_TOL * max(1.0, z.norm(), c.norm()):
+        raise PreconditionError("z is the critical midpoint of (a, b)")
+    return c, dval, _difference_coords(P, z, c)
 
 
 def degree2_identity_residual(
@@ -371,16 +354,7 @@ def degree2_identity_residual(
     max(1, ||z||, ||a||, ||b||)^4, so the value is meaningful uniformly
     over input scales.
     """
-    a._check_dim(b)
-    a._check_dim(z)
-    P = CStarPoly((a, b))
-    c = CStarElement(
-        tuple((x + y) / 2.0 for x, y in zip(a.coords, b.coords))
-    )
-    dval = cstar_derivative_eval(P, z)
-    if dval.norm() <= COINCIDENCE_TOL * max(1.0, z.norm(), c.norm()):
-        raise PreconditionError("z is the critical midpoint of (a, b)")
-    diffs = _difference_coords(P, z, c)
+    c, dval, diffs = _degree2(a, b, z)
     scale = max(1.0, z.norm(), a.norm(), b.norm()) ** 4
     worst = 0.0
     for t in range(a.dim):
@@ -394,14 +368,7 @@ def degree2_identity_residual(
 
 def degree2_higher_order(a: CStarElement, b: CStarElement, z: CStarElement) -> float:
     """(||P''(z)|| / 2!) ||P(z) - P(c)|| / ||P'(z)||^2 for degree 2."""
-    a._check_dim(b)
-    a._check_dim(z)
-    P = CStarPoly((a, b))
-    c = CStarElement(tuple((x + y) / 2.0 for x, y in zip(a.coords, b.coords)))
-    dval = cstar_derivative_eval(P, z)
-    if dval.norm() <= COINCIDENCE_TOL * max(1.0, z.norm(), c.norm()):
-        raise PreconditionError("z is the critical midpoint of (a, b)")
-    diffs = _difference_coords(P, z, c)
+    _, dval, diffs = _degree2(a, b, z)
     num = max(abs(d) for d in diffs)
     # P'' is the constant element 2, so ||P''(z)|| / 2! = 1
     return num / dval.norm() ** 2

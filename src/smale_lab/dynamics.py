@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, SmaleLabError
 from .polycore import Poly, evaluate, is_normalized
 from .rootfind import cached_critical_points, find_roots
 from .smale import CONJ_SLACK
@@ -141,7 +141,7 @@ def nonzero_fixed_points(p: Poly) -> tuple[complex, ...]:
         return ()
     try:
         roots = find_roots(Poly(tuple(tail))).roots
-    except Exception:
+    except SmaleLabError:
         # cofactor too degenerate to solve: fall back to no margin test
         return ()
     return tuple(r for r in roots if abs(r) > _FIXED_POINT_FLOOR)

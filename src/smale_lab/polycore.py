@@ -249,30 +249,23 @@ def is_normalized(p: Poly, tol: float = 1e-12) -> bool:
     return abs(p.coeffs[0]) <= tol and abs(p.coeffs[1] - 1.0) <= tol
 
 
-def scale_conjugate(p: Poly, lam: complex) -> Poly:
-    """P_lam(z) = P(lam * z) / lam; preserves normalization for lam != 0."""
-    lam = require_finite(lam, "scale factor")
-    if lam == 0:
-        raise DomainError("scale factor must be nonzero")
-    coeffs = tuple(c * lam ** (i - 1) for i, c in enumerate(p.coeffs))
-    return Poly(coeffs)
-
-
 def sum_of_products_derivative(roots, z: Scalar) -> Scalar:
     """Derivative of prod (z - r_i) via the sum with one factor removed.
 
     Independent of the coefficient-form derivative; the two are
     cross-checked in the test suite.  O(n) using prefix/suffix products.
+    The algebra model evaluates P' with it, one coordinate at a time.
     """
     n = len(roots)
     if n == 0:
         raise DomainError("need at least one root")
+    factors = [z - r for r in roots]
     prefix = [1.0 + 0.0j] * (n + 1)
-    for i, r in enumerate(roots):
-        prefix[i + 1] = prefix[i] * (z - r)
+    for i, f in enumerate(factors):
+        prefix[i + 1] = prefix[i] * f
     suffix = 1.0 + 0.0j
     acc = 0.0 + 0.0j
     for j in range(n - 1, -1, -1):
         acc += prefix[j] * suffix
-        suffix *= z - roots[j]
+        suffix *= factors[j]
     return acc

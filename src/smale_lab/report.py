@@ -15,7 +15,6 @@ import math
 from .polycore import Poly, poly_to_json
 from .search import RestartRecord, SearchState
 from .smale import BoundCheck, QuotientWitness, ScalarReport
-from .verify import Certificate
 
 
 def _format_float(x: float) -> str:
@@ -124,10 +123,6 @@ def search_state_to_json(state: SearchState) -> dict:
         "restarts_done": state.restarts_done,
         "restart_table": [restart_record_to_json(r) for r in state.table],
     }
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    return cert.to_json()
 
 
 def write_report(path: str, payload: dict) -> None:

@@ -37,11 +37,7 @@ from .polycore import (
 from .rng import Stream
 from .rootfind import RootFindConfig, cached_critical_points
 from .smale import CONJ_SLACK, SAMPLER_MARGIN
-from .verify import (
-    Certificate,
-    exact_cstar_quotients,
-    exact_normalized_ratios,
-)
+from .verify import Certificate, confirm_normalized, exact_cstar_quotients
 
 _STREAM_SEARCH = 23
 _STREAM_HUNT = 29
@@ -247,9 +243,8 @@ def _hunt_trial(args):
     verdict = check_strong_forms(P, z)
     # the operator-order form implies the norm form (take norms); allow a
     # bridge between the relative and absolute comparison slacks
-    assert not verdict.strong_smale_pass or verdict.min_ratio <= (
-        (n - 1) / n + 1e-7
-    ), "strong form passed but norm form failed: comparison bug"
+    if verdict.strong_smale_pass and verdict.min_ratio > (n - 1) / n + 1e-7:
+        raise SmaleLabError("strong form passed but norm form failed: comparison bug")
     flags = {
         "cstar_sharp": not verdict.sharp_pass,
         "cstar_dual": not verdict.dual_pass,
@@ -358,16 +353,6 @@ def run_hunt(
     return HuntResult(tuple(certificates), stats)
 
 
-def hunt_cstar(
-    n: int,
-    k: int,
-    trials: int,
-    cfg: SearchConfig = SearchConfig(),
-) -> list[Certificate]:
-    """Certificates (expected none) from a randomized conjecture sweep."""
-    return list(run_hunt(n, k, trials, cfg).certificates)
-
-
 def random_normalized_poly(degree: int, st: Stream) -> Poly:
     """z + a_2 z^2 + ... + a_n z^n with coefficients in the radius-2 disk."""
     if degree < 2:
@@ -395,8 +380,9 @@ def hunt_mlp(
         if ok:
             passed += 1
             continue
-        crits = list(cached_critical_points(p).roots)
-        lo2, _hi2 = exact_normalized_ratios(list(p.coeffs), crits)
+        ratio_sq, confirmed = confirm_normalized(
+            "mlp", p.coeffs, cached_critical_points(p).roots, bound=1.0
+        )
         certificates.append(
             Certificate(
                 kind="mlp",
@@ -404,7 +390,7 @@ def hunt_mlp(
                 dim=1,
                 trial=trial,
                 seed=seed,
-                confirmed=float(lo2) > 1.0,  # exact only for the ratio half
+                confirmed=confirmed,  # exact only for the ratio half
                 data={
                     "poly": poly_to_json(p),
                     "witness": [res.w0.real, res.w0.imag],
@@ -412,7 +398,7 @@ def hunt_mlp(
                     "verdict": res.verdict,
                     "trajectory_len": res.trajectory_len,
                     "final_modulus": res.final_modulus,
-                    "exact_min_ratio_sq": float(lo2),
+                    "exact_min_ratio_sq": ratio_sq,
                 },
             )
         )

@@ -187,8 +187,14 @@ def sample_points(p: Poly, sampler: SampleConfig) -> list[complex]:
     return pts
 
 
-def _refine(p: Poly, starts, maximize: bool, sampler: SampleConfig):
-    """Local simplex refinement of the ratio surface from the given starts."""
+def _refined(p: Poly, scored, maximize: bool, sampler: SampleConfig):
+    """Best sampled (value, z, witness), then simplex refinement of the ratio
+    surface from the top starts.
+
+    ``scored`` holds (ratio, z, witness) best first.  A refined point wins
+    only when strictly better, so ties keep the sampled point, then the
+    earliest start.
+    """
     # imported on first use: callers that never refine skip its load time
     from .simplex import nelder_mead
 
@@ -202,9 +208,9 @@ def _refine(p: Poly, starts, maximize: bool, sampler: SampleConfig):
         except (PreconditionError, DomainError):
             return math.inf
 
-    best_val = None
-    best_z = None
-    for z0 in starts:
+    best_val, best_z, best_wit = scored[0]
+    refined_z = None
+    for _, z0, _ in scored[: sampler.refine_starts]:
         res = nelder_mead(
             objective,
             [z0.real, z0.imag],
@@ -213,39 +219,12 @@ def _refine(p: Poly, starts, maximize: bool, sampler: SampleConfig):
             fatol=1e-12,
         )
         val = sign * res.fun
-        if math.isfinite(val) and (
-            best_val is None or (val > best_val if maximize else val < best_val)
-        ):
+        if math.isfinite(val) and (val > best_val if maximize else val < best_val):
             best_val = val
-            best_z = complex(res.x[0], res.x[1])
-    return best_val, best_z
-
-
-def estimate_S(p: Poly, sampler: SampleConfig = SampleConfig()) -> float:
-    """Lower bound estimate of sup_z min_w quotient / |P'(z)|."""
-    val, _ = _estimate_with_argpoint(p, sampler, maximize=True)
-    return val
-
-
-def estimate_DS(p: Poly, sampler: SampleConfig = SampleConfig()) -> float:
-    """Upper bound estimate of inf_z max_w quotient / |P'(z)|."""
-    val, _ = _estimate_with_argpoint(p, sampler, maximize=False)
-    return val
-
-
-def _estimate_with_argpoint(p: Poly, sampler: SampleConfig, maximize: bool):
-    pts = sample_points(p, sampler)
-    at = s_at if maximize else ds_at
-    scored = [(at(p, z).ratio, z) for z in pts]
-    scored.sort(key=lambda item: item[0], reverse=maximize)
-    best_val, best_z = scored[0]
-    starts = [z for _, z in scored[: sampler.refine_starts]]
-    refined_val, refined_z = _refine(p, starts, maximize, sampler)
-    if refined_val is not None and (
-        refined_val > best_val if maximize else refined_val < best_val
-    ):
-        best_val, best_z = refined_val, refined_z
-    return best_val, best_z
+            refined_z = complex(res.x[0], res.x[1])
+    if refined_z is not None:
+        best_z, best_wit = refined_z, at(p, refined_z)
+    return best_val, best_z, best_wit
 
 
 def higher_order_quantity(p: Poly, z: Scalar, w: Scalar, k: int) -> float:
@@ -328,17 +307,8 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
 
     s_scored.sort(key=lambda item: item[0], reverse=True)
     ds_scored.sort(key=lambda item: item[0])
-    s_best, s_z, s_wit = s_scored[0]
-    ds_best, ds_z, ds_wit = ds_scored[0]
-
-    rv, rz = _refine(p, [z for _, z, _ in s_scored[: sampler.refine_starts]], True, sampler)
-    if rv is not None and rv > s_best:
-        s_best, s_z = rv, rz
-        s_wit = s_at(p, rz)
-    rv, rz = _refine(p, [z for _, z, _ in ds_scored[: sampler.refine_starts]], False, sampler)
-    if rv is not None and rv < ds_best:
-        ds_best, ds_z = rv, rz
-        ds_wit = ds_at(p, rz)
+    s_best, s_z, s_wit = _refined(p, s_scored, True, sampler)
+    ds_best, ds_z, ds_wit = _refined(p, ds_scored, False, sampler)
 
     checks = [_upper(name, b, s_best) for name, b in s_upper_bounds(n)]
     checks.extend(_lower(name, b, ds_best) for name, b in ds_lower_bounds(n))

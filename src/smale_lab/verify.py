@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import DomainError, PreconditionError
+
 # Half of the float comparison slack (CONJ_SLACK = 1e-9), exactly.
 TIGHT_SLACK = Fraction(1, 2 * 10 ** 9)
 
@@ -91,6 +93,8 @@ def exact_cstar_quotients(
     root_coords is indexed [root][coordinate]; witnesses are the critical
     elements found by the float pipeline, used verbatim.
     """
+    if not witnesses:
+        raise PreconditionError("exact re-check needs at least one witness")
     n = len(root_coords)
     k = len(z_coords)
     roots = [[XC.of(c) for c in r] for r in root_coords]
@@ -147,7 +151,6 @@ def exact_cstar_quotients(
         if max_ratio2 is None or ratio2 > max_ratio2:
             max_ratio2 = ratio2
 
-    assert min_ratio2 is not None and max_ratio2 is not None
     return ExactQuotients(
         min_ratio2=min_ratio2,
         max_ratio2=max_ratio2,
@@ -162,6 +165,8 @@ def exact_normalized_ratios(
     coeffs: list[complex], witnesses: list[complex]
 ) -> tuple[Fraction, Fraction]:
     """Exact squared |P(w)/w| extremes for a normalized coefficient poly."""
+    if not witnesses:
+        raise PreconditionError("exact re-check needs at least one witness")
     cs = [XC.of(c) for c in coeffs]
     lo: Fraction | None = None
     hi: Fraction | None = None
@@ -175,8 +180,25 @@ def exact_normalized_ratios(
             lo = r2
         if hi is None or r2 > hi:
             hi = r2
-    assert lo is not None and hi is not None
     return lo, hi
+
+
+def confirm_normalized(kind: str, coeffs, witnesses, bound) -> tuple[float, bool]:
+    """Exact decision behind every normalized certificate.
+
+    ``s0_sharp`` and ``mlp`` claim min |P(w)/w| > bound; ``ds0_dual`` claims
+    max |P(w)/w| < bound.  The claim is confirmed when the exact squared
+    extreme clears (bound -/+ TIGHT_SLACK)^2, the rule of
+    exact_cstar_quotients.  Returns (that squared extreme as a float,
+    confirmed).
+    """
+    lo2, hi2 = exact_normalized_ratios(coeffs, witnesses)
+    b = Fraction(bound)
+    if kind == "ds0_dual":
+        return float(hi2), hi2 < (b - TIGHT_SLACK) ** 2
+    if kind in ("s0_sharp", "mlp"):
+        return float(lo2), lo2 > (b + TIGHT_SLACK) ** 2
+    raise DomainError(f"no normalized certificate kind {kind!r}")
 
 
 @dataclass(frozen=True)

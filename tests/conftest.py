@@ -2,6 +2,8 @@ import cmath
 
 from hypothesis import HealthCheck, settings
 
+from smale_lab.errors import DomainError
+from smale_lab.polycore import Poly, require_finite
 from smale_lab.rng import Stream
 
 settings.register_profile(
@@ -63,3 +65,12 @@ def match_multisets(found, expected, tol):
 
 def polar(r, theta):
     return r * cmath.exp(1j * theta)
+
+
+def scale_conjugate(p: Poly, lam: complex) -> Poly:
+    """P_lam(z) = P(lam * z) / lam; preserves normalization for lam != 0."""
+    lam = require_finite(lam, "scale factor")
+    if lam == 0:
+        raise DomainError("scale factor must be nonzero")
+    coeffs = tuple(c * lam ** (i - 1) for i, c in enumerate(p.coeffs))
+    return Poly(coeffs)

@@ -25,8 +25,8 @@ from smale_lab.rng import Stream
 from smale_lab.search import (
     SearchConfig,
     extremal_family,
-    hunt_cstar,
     hunt_mlp,
+    run_hunt,
     search_extremal_s0,
 )
 from smale_lab.smale import (
@@ -216,7 +216,7 @@ def test_criterion_6_conjecture_sweeps():
     degree2_clean = True
     for n in (2, 3, 4):
         for k in (1, 2, 3):
-            certs = hunt_cstar(n, k, 1000, SearchConfig(seed=SEED))
+            certs = list(run_hunt(n, k, 1000, SearchConfig(seed=SEED)).certificates)
             findings[(n, k)] = len(certs)
             if n == 2 and certs:
                 degree2_clean = False

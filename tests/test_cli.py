@@ -172,6 +172,18 @@ class TestContract:
         proc = run_cli("frobnicate")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--max-iters", "1"],
+        ["dynamics", "--random-sweep", "2,3", "--jobs", "4"],
+    ])
+    def test_root_knobs_only_where_they_reach_code(self, argv, capsys):
+        # --step-tol, --max-iters, --cluster-tol and --jobs reach run_hunt
+        # only, so only cstar and search accept them
+        from smale_lab import cli
+
+        assert cli.run(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_env_seed_respected(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -1,5 +1,6 @@
 import pytest
 
+from smale_lab import dynamics
 from smale_lab.dynamics import (
     VERDICT_CONVERGED,
     VERDICT_CYCLED,
@@ -11,7 +12,7 @@ from smale_lab.dynamics import (
     nonzero_fixed_points,
     orbit,
 )
-from smale_lab.errors import DomainError, PreconditionError
+from smale_lab.errors import DomainError, PreconditionError, RootFindError
 from smale_lab.polycore import evaluate, from_coeffs
 from smale_lab.rng import Stream
 from smale_lab.search import random_normalized_poly
@@ -123,6 +124,22 @@ class TestFixedPoints:
         fps = nonzero_fixed_points(p)
         assert len(fps) == 1
         assert fps[0] == pytest.approx(0.5)
+
+    def test_root_finder_failure_gives_no_margin_test(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RootFindError("injected")
+
+        monkeypatch.setattr(dynamics, "find_roots", fail)
+        assert nonzero_fixed_points(from_coeffs([0, 1, 1, -2])) == ()
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # only the package's own errors mean "cofactor too degenerate"
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(dynamics, "find_roots", boom)
+        with pytest.raises(ZeroDivisionError):
+            nonzero_fixed_points(from_coeffs([0, 1, 1, -2]))
 
     def test_orbit_into_nonzero_fixed_point_is_not_converged(self):
         # map with a superattracting fixed point at 0.01: orbits near it

@@ -1,0 +1,73 @@
+"""Golden reports: fixed commands whose report bytes must never drift.
+
+Each case runs ``cli.run`` in-process with ``--out`` and compares the
+written report, with ``wall_time_s`` stripped, byte for byte against
+``tests/golden/<name>.json``, together with the exit code.  A refactor
+that claims "same numbers" proves it here.  After an intended output
+change, re-record with ``PYTHONPATH=src python tests/test_golden.py``
+and say in the change log which fields moved.
+"""
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from smale_lab import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# (name, argv, exit code)
+CASES = [
+    ("c8_analyze", ["analyze", "--poly", '{"roots":[[0.5,0.5],[-1,0],[0,2]]}',
+                    "--samples", "50", "--seed", "9"], 0),
+    ("c8_cstar", ["cstar", "--degree", "3", "--dim", "2", "--trials", "100",
+                  "--seed", "9"], 0),
+    ("c8_search_s0", ["search", "--mode", "s0", "--degree", "3", "--restarts", "8",
+                      "--seed", "9"], 0),
+    ("c8_dynamics_sweep", ["dynamics", "--random-sweep", "2,100", "--seed", "9"], 0),
+    ("analyze_normalized", ["analyze", "--poly",
+                            '{"coeffs":[[0,0],[1,0],[-0.5,0.25],[0.1,-0.2]]}',
+                            "--normalized", "--samples", "50"], 0),
+    ("search_ds0", ["search", "--mode", "ds0", "--degree", "4", "--restarts", "8"], 0),
+    ("cstar_strong", ["cstar", "--degree", "3", "--dim", "2", "--trials", "100",
+                      "--strong"], 0),
+    ("search_cstar", ["search", "--mode", "cstar", "--degree", "3", "--dim", "2",
+                      "--trials", "50"], 0),
+    ("dynamics_poly", ["dynamics", "--poly", '{"coeffs":[[0,0],[1,0],[-0.5,0]]}'], 0),
+    # the one case that emits a certificate: an exact-confirmed cstar_dual
+    ("cstar_strong_seed97", ["cstar", "--degree", "3", "--dim", "2", "--trials", "20",
+                             "--strong", "--seed", "97"], 2),
+]
+
+
+def _strip_wall_time(text: str) -> str:
+    return re.sub(r'"wall_time_s":[0-9eE+.\-]+,?', "", text)
+
+
+def _report(argv, out_path):
+    code = cli.run([*argv, "--out", str(out_path)])
+    return code, _strip_wall_time(Path(out_path).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_golden_report(name, argv, code, tmp_path, monkeypatch):
+    monkeypatch.delenv("SMALE_LAB_SEED", raising=False)
+    got_code, text = _report(argv, tmp_path / "report.json")
+    assert got_code == code
+    assert text == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.pop("SMALE_LAB_SEED", None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, code in CASES:
+            got_code, text = _report(argv, Path(tmp) / "report.json")
+            if got_code != code:
+                sys.exit(f"{name}: exit code {got_code}, expected {code}")
+            (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import convolve_oracle, horner_oracle, random_roots
+from conftest import convolve_oracle, horner_oracle, random_roots, scale_conjugate
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
     Poly,
@@ -16,7 +16,6 @@ from smale_lab.polycore import (
     poly_from_json,
     poly_to_json,
     renormalize_at,
-    scale_conjugate,
     sum_of_products_derivative,
     taylor_coeffs,
 )

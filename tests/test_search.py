@@ -10,7 +10,6 @@ from smale_lab.search import (
     SearchConfig,
     critical_points_from_params,
     extremal_family,
-    hunt_cstar,
     hunt_mlp,
     poly_from_critical_points,
     random_normalized_poly,
@@ -132,10 +131,10 @@ class TestExtremalFamily:
 class TestHunt:
     def test_degree2_always_empty(self):
         for k in (1, 2, 3):
-            assert hunt_cstar(2, k, 150, SearchConfig(seed=11)) == []
+            assert list(run_hunt(2, k, 150, SearchConfig(seed=11)).certificates) == []
 
     def test_degree3_scalar_empty(self):
-        assert hunt_cstar(3, 1, 300, SearchConfig(seed=12)) == []
+        assert list(run_hunt(3, 1, 300, SearchConfig(seed=12)).certificates) == []
 
     def test_reproducible(self):
         a = run_hunt(3, 2, 100, SearchConfig(seed=77))

@@ -3,14 +3,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import polar, random_roots
+from conftest import polar, random_roots, scale_conjugate
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
     evaluate,
     from_coeffs,
     from_roots,
     renormalize_at,
-    scale_conjugate,
 )
 from smale_lab.rng import Stream
 from smale_lab.rootfind import cached_critical_points
@@ -19,8 +18,6 @@ from smale_lab.smale import (
     bound_report,
     ds0,
     ds_at,
-    estimate_DS,
-    estimate_S,
     higher_order_quantity,
     s0,
     s_at,
@@ -183,28 +180,29 @@ class TestRenormalizeBridge:
 class TestEstimates:
     def test_degree2_exact(self):
         p = from_roots([0.5 + 0.5j, -1.0])
-        assert estimate_S(p, FAST_SAMPLER) == pytest.approx(0.5, abs=1e-9)
-        assert estimate_DS(p, FAST_SAMPLER) == pytest.approx(0.5, abs=1e-9)
+        rep = bound_report(p, FAST_SAMPLER)
+        assert rep.s_estimate == pytest.approx(0.5, abs=1e-9)
+        assert rep.ds_estimate == pytest.approx(0.5, abs=1e-9)
 
     def test_cubic_bracket(self):
-        val = estimate_S(CUBIC, FAST_SAMPLER)
+        val = bound_report(CUBIC, FAST_SAMPLER).s_estimate
         assert 2 / 3 - 1e-6 <= val <= 4 * (3 - 1) / (3 + 1) + 1e-9
 
     def test_smale_ceiling(self):
         stream = Stream(99)
         for trial in range(10):
             p = from_roots(random_roots(stream.derive(trial), 6))
-            assert estimate_S(p, FAST_SAMPLER) <= 4 + 1e-9
+            assert bound_report(p, FAST_SAMPLER).s_estimate <= 4 + 1e-9
 
     def test_ds_floors(self):
-        val = estimate_DS(CUBIC, FAST_SAMPLER)
+        val = bound_report(CUBIC, FAST_SAMPLER).ds_estimate
         assert val >= math.tan(math.pi / 12) / 3 - 1e-6
         assert val >= 1 / (3 * 4 ** 3) - 1e-9
 
     def test_deterministic_given_seed(self):
         p = from_roots(random_roots(Stream(3), 5))
-        a = estimate_S(p, SampleConfig(n_samples=40, seed=11))
-        b = estimate_S(p, SampleConfig(n_samples=40, seed=11))
+        a = bound_report(p, SampleConfig(n_samples=40, seed=11)).s_estimate
+        b = bound_report(p, SampleConfig(n_samples=40, seed=11)).s_estimate
         assert a == b
 
 

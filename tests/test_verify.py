@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.verify import (
     Certificate,
     XC,
+    confirm_normalized,
     exact_cstar_quotients,
     exact_normalized_ratios,
 )
@@ -88,8 +90,47 @@ class TestExactNormalizedRatios:
         assert hi == Fraction(1)
 
     def test_empty_witnesses_disallowed(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(PreconditionError):
             exact_normalized_ratios([0j, 1 + 0j, -0.5 + 0j], [])
+        with pytest.raises(PreconditionError):
+            exact_cstar_quotients([[1 + 0j], [-1 + 0j]], [2 + 0j], [])
+
+
+class TestConfirmNormalized:
+    # z - z^3/3: critical points +-1, where |P(w)/w| = 2/3
+    COEFFS = [0j, 1 + 0j, 0j, -1 / 3 + 0j]
+    WITNESSES = [1 + 0j, -1 + 0j]
+
+    def confirm(self, kind, bound):
+        return confirm_normalized(kind, self.COEFFS, self.WITNESSES, bound)
+
+    def test_s0_sharp_beyond_the_slack_is_confirmed(self):
+        ratio_sq, confirmed = self.confirm("s0_sharp", 0.66)
+        assert ratio_sq == pytest.approx(4 / 9, abs=1e-15)
+        assert confirmed
+
+    def test_s0_sharp_inside_the_slack_is_not_confirmed(self):
+        bound = 2 / 3 - 1e-10
+        ratio_sq, confirmed = self.confirm("s0_sharp", bound)
+        # bound lies within TIGHT_SLACK of 2/3; a float comparison without
+        # the slack would confirm it
+        assert ratio_sq > bound ** 2
+        assert not confirmed
+
+    def test_ds0_dual_beyond_the_slack_is_confirmed(self):
+        ratio_sq, confirmed = self.confirm("ds0_dual", 0.67)
+        assert ratio_sq == pytest.approx(4 / 9, abs=1e-15)
+        assert confirmed
+
+    def test_ds0_dual_inside_the_slack_is_not_confirmed(self):
+        bound = 2 / 3 + 1e-10
+        ratio_sq, confirmed = self.confirm("ds0_dual", bound)
+        assert ratio_sq < bound ** 2
+        assert not confirmed
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError):
+            self.confirm("cstar_dual", 0.5)
 
 
 class TestCertificate:
