@@ -50,7 +50,6 @@ DEFAULT_SEED = 42
 class RunConfig:
     seed: int
     out: str | None
-    fmt: str
 
 
 def _default_seed() -> int:
@@ -75,13 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 42, or SMALE_LAB_SEED)")
         sp.add_argument("--out", type=str, default=None, help="report output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     def hunt_knobs(sp):
-        sp.add_argument("--step-tol", type=float, default=1e-14, help="root iteration relative step tolerance")
-        sp.add_argument("--max-iters", type=int, default=200, help="max root iteration sweeps")
-        sp.add_argument("--cluster-tol", type=float, default=None, help="root clustering distance (default 1e-7 x Cauchy bound)")
-        sp.add_argument("--jobs", type=int, default=1, help="worker cap for trial loops")
+        # None when unset: the library default applies, and s0/ds0 reject a given knob
+        sp.add_argument("--step-tol", type=float, help=f"root iteration relative step tolerance (default {RootFindConfig.step_tol})")
+        sp.add_argument("--max-iters", type=int, help=f"max root iteration sweeps (default {RootFindConfig.max_iters})")
+        sp.add_argument("--cluster-tol", type=float, help="root clustering distance (default 1e-7 x Cauchy bound)")
+        sp.add_argument("--jobs", type=int, help="worker cap for trial loops (default 1)")
 
     sp = sub.add_parser("analyze", help="quotient statistics and theorem bounds for one polynomial")
     sp.add_argument("--poly", required=True, help='polynomial as JSON: {"coeffs": [[re,im],...]} or {"roots": ...}')
@@ -103,6 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=1)
     sp.add_argument("--restarts", type=int, default=64)
     sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
     hunt_knobs(sp)
 
@@ -115,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, cfg: RunConfig, csv_rows: list[str] | None = None) -> None:
-    if cfg.fmt == "csv" and csv_rows is not None:
+    """Write the JSON report, or csv_rows in its place when given."""
+    if csv_rows is not None:
         text = "\n".join(csv_rows) + "\n"
         if cfg.out:
             with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -137,12 +138,14 @@ def _parse_poly(raw: str) -> Poly:
     return poly_from_json(obj)
 
 
+_ROOT_KNOBS = ("step_tol", "max_iters", "cluster_tol")
+
+
 def _hunt_knobs(ns) -> dict:
+    given = {k: getattr(ns, k) for k in _ROOT_KNOBS if getattr(ns, k) is not None}
     return {
-        "rootcfg": RootFindConfig(
-            step_tol=ns.step_tol, max_iters=ns.max_iters, cluster_tol=ns.cluster_tol
-        ),
-        "jobs": max(1, ns.jobs),
+        "rootcfg": RootFindConfig(**given),
+        "jobs": 1 if ns.jobs is None else max(1, ns.jobs),
     }
 
 
@@ -241,59 +244,54 @@ def _cmd_cstar(ns, cfg: RunConfig) -> int:
 
 def _cmd_search(ns, cfg: RunConfig) -> int:
     start = time.monotonic()
+    n = ns.degree
     scfg = SearchConfig(restarts=ns.restarts, seed=cfg.seed)
     if ns.mode == "cstar":
-        result = run_hunt(ns.degree, ns.dim, ns.trials, scfg, **_hunt_knobs(ns))
+        result = run_hunt(n, ns.dim, ns.trials, scfg, **_hunt_knobs(ns))
+        certificates = result.certificates
+        k, best, bound = ns.dim, result.stats.worst_min_ratio, (n - 1) / n
         payload = {
-            "kind": "search",
-            "mode": "cstar",
-            "degree": ns.degree,
             "dim": ns.dim,
             "trials": ns.trials,
-            "seed": cfg.seed,
-            "certificates": [c.to_json() for c in result.certificates],
             "worst_min_ratio": result.stats.worst_min_ratio,
             "worst_max_ratio": result.stats.worst_max_ratio,
-            "wall_time_s": time.monotonic() - start,
         }
-        rows = ["n,k,best_value,bound,pass"]
-        rows.append(
-            f"{ns.degree},{ns.dim},{result.stats.worst_min_ratio:.17g},"
-            f"{(ns.degree - 1) / ns.degree:.17g},{not result.certificates}"
-        )
-        _emit(payload, cfg, rows)
-        return 2 if result.certificates else 0
-
-    n = ns.degree
-    if ns.mode == "s0":
-        state = search_extremal_s0(n, scfg)
-        conjectured = (n - 1) / n
-        kind = "s0_sharp"
     else:
-        state = search_extremal_ds0(n, scfg)
-        conjectured = 1.0 / n
-        kind = "ds0_dual"
-    # beyond the conjectured value the searched extreme is a candidate finding
-    cert = _normalized_certificate(
-        kind, state.best_poly, cfg.seed, "objective", state.objective, 1e-6
+        given = [
+            "--" + key.replace("_", "-")
+            for key in (*_ROOT_KNOBS, "jobs")
+            if getattr(ns, key) is not None
+        ]
+        if given:
+            raise SmaleLabError(f"--mode {ns.mode} does not take {', '.join(given)}")
+        if ns.mode == "s0":
+            state = search_extremal_s0(n, scfg)
+            k, best, bound, kind = 1, state.objective, (n - 1) / n, "s0_sharp"
+        else:
+            state = search_extremal_ds0(n, scfg)
+            k, best, bound, kind = 1, state.objective, 1.0 / n, "ds0_dual"
+        # beyond the conjectured value the searched extreme is a candidate finding
+        cert = _normalized_certificate(
+            kind, state.best_poly, cfg.seed, "objective", state.objective, 1e-6
+        )
+        certificates = [] if cert is None else [cert]
+        payload = {
+            "restarts": ns.restarts,
+            "conjectured_value": bound,
+            "state": search_state_to_json(state),
+        }
+    payload.update(
+        kind="search",
+        mode=ns.mode,
+        degree=n,
+        seed=cfg.seed,
+        certificates=[c.to_json() for c in certificates],
+        wall_time_s=time.monotonic() - start,
     )
-    certificates = [] if cert is None else [cert]
-
-    payload = {
-        "kind": "search",
-        "mode": ns.mode,
-        "degree": n,
-        "seed": cfg.seed,
-        "restarts": ns.restarts,
-        "conjectured_value": conjectured,
-        "state": search_state_to_json(state),
-        "certificates": [c.to_json() for c in certificates],
-        "wall_time_s": time.monotonic() - start,
-    }
-    rows = ["n,k,best_value,bound,pass"]
-    rows.append(
-        f"{n},1,{state.objective:.17g},{conjectured:.17g},{not certificates}"
-    )
+    rows = None
+    if ns.format == "csv":
+        header = "n,k,best_value,bound,pass"
+        rows = [header, f"{n},{k},{best:.17g},{bound:.17g},{not certificates}"]
     _emit(payload, cfg, rows)
     return 2 if certificates else 0
 
@@ -358,7 +356,7 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         seed = ns.seed if ns.seed is not None else _default_seed()
-        cfg = RunConfig(seed=seed, out=ns.out, fmt=ns.format)
+        cfg = RunConfig(seed=seed, out=ns.out)
         handler = {
             "analyze": _cmd_analyze,
             "cstar": _cmd_cstar,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dynamics import (
     VERDICT_CONVERGED,
@@ -123,9 +124,11 @@ class CStarPoly:
     def dim(self) -> int:
         return self.roots[0].dim
 
-    def coordinate_poly(self, t: int) -> Poly:
-        """The scalar polynomial along Gelfand point t."""
-        return from_roots(tuple(r.coords[t] for r in self.roots))
+    @cached_property
+    def coordinate_polys(self) -> tuple[Poly, ...]:
+        """The scalar polynomial along each Gelfand point, built once; the
+        .roots of entry t are the roots' coordinate-t column."""
+        return tuple(from_roots(col) for col in zip(*(r.coords for r in self.roots)))
 
     def to_json(self) -> dict:
         return {"roots": [r.to_json() for r in self.roots]}
@@ -174,11 +177,10 @@ def cstar_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
     if z.dim != P.dim:
         raise DomainError(f"dimension mismatch: poly {P.dim}, point {z.dim}")
     out = []
-    for t in range(P.dim):
+    for p, zt in zip(P.coordinate_polys, z.coords):
         acc = 1.0 + 0.0j
-        zt = z.coords[t]
-        for r in P.roots:
-            acc *= zt - r.coords[t]
+        for r in p.roots:
+            acc *= zt - r
         out.append(acc)
     return CStarElement(tuple(out))
 
@@ -189,36 +191,31 @@ def cstar_derivative_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
         raise DomainError(f"dimension mismatch: poly {P.dim}, point {z.dim}")
     return CStarElement(
         tuple(
-            sum_of_products_derivative([r.coords[t] for r in P.roots], z.coords[t])
-            for t in range(P.dim)
+            sum_of_products_derivative(p.roots, zt)
+            for p, zt in zip(P.coordinate_polys, z.coords)
         )
     )
 
 
-def _difference_coords(P: CStarPoly, z: CStarElement, w: CStarElement):
-    """Per-coordinate P(z)_t - P(w)_t via the telescoped product difference.
+def _telescoped_difference(roots, zt: complex, wt: complex) -> complex:
+    """prod(zt - a_i) - prod(wt - a_i) over the scalar roots a_i.
 
-    prod(z - a_i) - prod(w - a_i) = (z - w) * sum_j prod_{i<j}(z - a_i)
-    * prod_{i>j}(w - a_i); evaluating the sum avoids the cancellation the
-    direct difference suffers when z and w are close.
+    The difference equals (zt - wt) * sum_j prod_{i<j}(zt - a_i)
+    * prod_{i>j}(wt - a_i); evaluating the sum avoids the cancellation the
+    direct difference suffers when zt and wt are close.
     """
-    n = P.degree
-    diffs = []
-    for t in range(P.dim):
-        zt = z.coords[t]
-        wt = w.coords[t]
-        zf = [zt - r.coords[t] for r in P.roots]
-        wf = [wt - r.coords[t] for r in P.roots]
-        suffix = [1.0 + 0.0j] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            suffix[j] = suffix[j + 1] * wf[j]
-        acc = 0.0 + 0.0j
-        prefix = 1.0 + 0.0j
-        for j in range(n):
-            acc += prefix * suffix[j + 1]
-            prefix *= zf[j]
-        diffs.append(acc * (zt - wt))
-    return diffs
+    n = len(roots)
+    zf = [zt - r for r in roots]
+    wf = [wt - r for r in roots]
+    suffix = [1.0 + 0.0j] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix[j] = suffix[j + 1] * wf[j]
+    acc = 0.0 + 0.0j
+    prefix = 1.0 + 0.0j
+    for j in range(n):
+        acc += prefix * suffix[j + 1]
+        prefix *= zf[j]
+    return acc * (zt - wt)
 
 
 def enumerate_critical_set(
@@ -232,12 +229,8 @@ def enumerate_critical_set(
     in every coordinate, so each coordinate contributes its scalar critical
     points independently.
     """
-    per_coord = tuple(
-        critical_points(P.coordinate_poly(t), cfg) for t in range(P.dim)
-    )
-    size = 1
-    for rs in per_coord:
-        size *= len(rs.roots)
+    per_coord = tuple(critical_points(p, cfg) for p in P.coordinate_polys)
+    size = math.prod(len(rs.roots) for rs in per_coord)
     if size > cap:
         raise CapacityError(
             f"critical product has {size} elements (cap {cap}); "
@@ -247,31 +240,22 @@ def enumerate_critical_set(
 
 
 def _derivative_threshold(P: CStarPoly) -> float:
-    scale = max(
-        max(abs(c) for c in P.coordinate_poly(t).coeffs) for t in range(P.dim)
-    )
+    scale = max(max(abs(c) for c in p.coeffs) for p in P.coordinate_polys)
     return CRITICAL_TOL * max(1.0, scale)
 
 
-def _strong_holds(diffs, z, w, dval, factor_sq, reverse):
-    """Coordinatewise positive-element comparison of the squared sides."""
-    for t in range(len(diffs)):
-        lhs = abs(diffs[t]) ** 2
-        rhs = factor_sq * abs(z.coords[t] - w.coords[t]) ** 2 * abs(dval.coords[t]) ** 2
-        slack = CONJ_SLACK * max(1.0, lhs, rhs)
-        if reverse:
-            if rhs > lhs + slack:
-                return False
-        else:
-            if lhs > rhs + slack:
-                return False
-    return True
-
-
-def _check(P: CStarPoly, z: CStarElement, strong: bool) -> CStarVerdict:
+def _check(
+    P: CStarPoly, z: CStarElement, strong: bool, crit: CriticalSet | None
+) -> CStarVerdict:
     """Exhaustive min/max of the normalized quotient over the critical set,
-    plus the strong forms when asked; their flags are None otherwise."""
-    crit = enumerate_critical_set(P)
+    plus the strong forms when asked; their flags are None otherwise.
+
+    Every per-element term depends on one coordinate, so coordinate t gets
+    one row (|P_t(z_t) - P_t(w_t)|, |z_t - w_t|, |w_t|, w_t) per critical
+    point w_t; the product loop only takes maxima of table entries.
+    """
+    if crit is None:
+        crit = enumerate_critical_set(P)
     dval = cstar_derivative_eval(P, z)
     dnorm = dval.norm()
     if dnorm <= _derivative_threshold(P):
@@ -280,29 +264,43 @@ def _check(P: CStarPoly, z: CStarElement, strong: bool) -> CStarVerdict:
     n = P.degree
     sharp_sq = ((n - 1) / n) ** 2
     dual_sq = 1.0 / n ** 2
-    strong_smale = strong_dual = False
-    min_ratio = math.inf
-    max_ratio = -math.inf
-    best_w = None
+    # the set is a full product, so some element passes a strong form in
+    # every coordinate exactly when every coordinate has a passing w_t
+    strong_smale = strong_dual = strong
+    tables = []
+    columns = zip(P.coordinate_polys, z.coords, dval.coords, crit.per_coordinate)
+    for p, zt, dt, rs in columns:
+        dsq = abs(dt) ** 2
+        rows = []
+        smale_t = dual_t = False
+        for wt in rs.roots:
+            num = abs(_telescoped_difference(p.roots, zt, wt))
+            dist = abs(zt - wt)
+            rows.append((num, dist, abs(wt), wt))
+            if strong:
+                # coordinatewise order of the squared sides, relative slack
+                lhs = num ** 2
+                rhs = sharp_sq * dist ** 2 * dsq
+                smale_t = smale_t or not lhs > rhs + CONJ_SLACK * max(1.0, lhs, rhs)
+                rhs = dual_sq * dist ** 2 * dsq
+                dual_t = dual_t or not rhs > lhs + CONJ_SLACK * max(1.0, lhs, rhs)
+        tables.append(rows)
+        strong_smale = strong_smale and smale_t
+        strong_dual = strong_dual and dual_t
+    min_ratio, max_ratio, best = math.inf, -math.inf, None
     # CStarPoly has degree >= 2, so the critical product is never empty
-    for w in crit.elements():
-        dist = max(abs(a - b) for a, b in zip(z.coords, w.coords))
-        if dist <= COINCIDENCE_TOL * max(point_scale, w.norm()):
+    for rows in itertools.product(*tables):
+        dist = max(row[1] for row in rows)
+        if dist <= COINCIDENCE_TOL * max(point_scale, max(row[2] for row in rows)):
             raise PreconditionError("z coincides with a critical element")
-        diffs = _difference_coords(P, z, w)
-        ratio = max(abs(d) for d in diffs) / (dist * dnorm)
+        ratio = max(row[0] for row in rows) / (dist * dnorm)
         if ratio < min_ratio:
-            min_ratio, best_w = ratio, w
+            min_ratio, best = ratio, rows
         if ratio > max_ratio:
             max_ratio = ratio
-        if strong:
-            if not strong_smale and _strong_holds(diffs, z, w, dval, sharp_sq, False):
-                strong_smale = True
-            if not strong_dual and _strong_holds(diffs, z, w, dval, dual_sq, True):
-                strong_dual = True
     return CStarVerdict(
         z=z,
-        best_witness=best_w,
+        best_witness=CStarElement(tuple(row[3] for row in best)),
         min_ratio=min_ratio,
         max_ratio=max_ratio,
         weak_pass=min_ratio <= 1.0 + CONJ_SLACK,
@@ -315,18 +313,21 @@ def _check(P: CStarPoly, z: CStarElement, strong: bool) -> CStarVerdict:
 
 def check_smale(P: CStarPoly, z: CStarElement) -> CStarVerdict:
     """Exhaustive min/max of the normalized quotient over the critical set."""
-    return _check(P, z, strong=False)
+    return _check(P, z, False, None)
 
 
-def check_strong_forms(P: CStarPoly, z: CStarElement) -> CStarVerdict:
+def check_strong_forms(
+    P: CStarPoly, z: CStarElement, crit: CriticalSet | None = None
+) -> CStarVerdict:
     """Norm verdict plus the coordinatewise operator-order strong forms.
 
     In the model, x <= y for self-adjoint x, y means coordinatewise order,
     so the strong inequalities reduce to per-coordinate comparisons of
     squared moduli.  A strong flag is set when some single critical element
-    satisfies the inequality in every coordinate simultaneously.
+    satisfies the inequality in every coordinate simultaneously.  crit is
+    P's critical set when the caller has already enumerated it.
     """
-    return _check(P, z, strong=True)
+    return _check(P, z, True, crit)
 
 
 def _degree2(a: CStarElement, b: CStarElement, z: CStarElement):
@@ -339,7 +340,11 @@ def _degree2(a: CStarElement, b: CStarElement, z: CStarElement):
     dval = cstar_derivative_eval(P, z)
     if dval.norm() <= COINCIDENCE_TOL * max(1.0, z.norm(), c.norm()):
         raise PreconditionError("z is the critical midpoint of (a, b)")
-    return c, dval, _difference_coords(P, z, c)
+    diffs = [
+        _telescoped_difference(p.roots, zt, ct)
+        for p, zt, ct in zip(P.coordinate_polys, z.coords, c.coords)
+    ]
+    return c, dval, diffs
 
 
 def degree2_identity_residual(
@@ -411,9 +416,7 @@ def cstar_dynamics_check(
     if not is_cstar_normalized(P):
         raise PreconditionError("P must satisfy P(0) = 0 and P'(0) = 1")
 
-    coord_fixed = [
-        nonzero_fixed_points(P.coordinate_poly(t)) for t in range(P.dim)
-    ]
+    coord_fixed = [nonzero_fixed_points(p) for p in P.coordinate_polys]
 
     def step(x: CStarElement) -> CStarElement:
         return cstar_eval(P, x)

@@ -53,7 +53,6 @@ class SearchConfig:
     max_iter: int = 800
     radius_bounds: tuple[float, float] = (1e-2, 1e2)
     collision_tol: float = 1e-6
-    cap: int = DEFAULT_PRODUCT_CAP
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ def _hunt_trial(args):
         return None
     if z is None:
         return None
-    verdict = check_strong_forms(P, z)
+    verdict = check_strong_forms(P, z, crit)
     # the operator-order form implies the norm form (take norms); allow a
     # bridge between the relative and absolute comparison slacks
     if verdict.strong_smale_pass and verdict.min_ratio > (n - 1) / n + 1e-7:
@@ -311,9 +310,9 @@ def run_hunt(
     are independent; results are merged in trial order, so the report does
     not depend on the worker count.
     """
-    if (n - 1) ** k > cfg.cap:
+    if (n - 1) ** k > DEFAULT_PRODUCT_CAP:
         raise CapacityError(
-            f"critical product size {(n - 1) ** k} exceeds cap {cfg.cap}"
+            f"critical product size {(n - 1) ** k} exceeds cap {DEFAULT_PRODUCT_CAP}"
         )
     stream_key = Stream(cfg.seed, _STREAM_HUNT).derive(n).derive(k).key
     work = [(stream_key, t, n, k, strong, rootcfg, cfg.seed) for t in range(trials)]

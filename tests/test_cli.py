@@ -175,14 +175,34 @@ class TestContract:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--max-iters", "1"],
         ["dynamics", "--random-sweep", "2,3", "--jobs", "4"],
+        ["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--format", "csv"],
+        ["cstar", "--degree", "2", "--dim", "2", "--trials", "3", "--format", "csv"],
+        ["dynamics", "--random-sweep", "2,3", "--format", "csv"],
     ])
     def test_root_knobs_only_where_they_reach_code(self, argv, capsys):
         # --step-tol, --max-iters, --cluster-tol and --jobs reach run_hunt
-        # only, so only cstar and search accept them
+        # only, so only cstar and search accept them; only search has a
+        # csv form, so only search accepts --format
         from smale_lab import cli
 
         assert cli.run(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["s0", "ds0"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--step-tol", "1e-6"),
+        ("--max-iters", "1"),
+        ("--cluster-tol", "0.1"),
+        ("--jobs", "4"),
+    ])
+    def test_extremal_search_rejects_hunt_knobs(self, mode, flag, value, capsys):
+        # the extremal searches never run the hunt, so a knob there would
+        # be silently ignored
+        from smale_lab import cli
+
+        argv = ["search", "--mode", mode, "--degree", "3", "--restarts", "2", flag, value]
+        assert cli.run(argv) == 1
+        assert flag in capsys.readouterr().err
 
     def test_env_seed_respected(self, tmp_path):
         out1 = tmp_path / "a.json"

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from smale_lab import cstar as cstar_module
 from smale_lab.cstar import (
     CStarElement,
     CStarPoly,
@@ -15,7 +18,7 @@ from smale_lab.cstar import (
     is_cstar_normalized,
 )
 from smale_lab.errors import CapacityError, DomainError, PreconditionError
-from smale_lab.polycore import evaluate, from_roots
+from smale_lab.polycore import COINCIDENCE_TOL, evaluate, from_roots
 from smale_lab.rng import Stream
 from smale_lab.smale import ds_at, s_at
 
@@ -99,7 +102,7 @@ class TestEvaluation:
         z = rand_element(stream, 2, 3.0)
         got = cstar_derivative_eval(P, z)
         for t in range(2):
-            p = P.coordinate_poly(t)
+            p = P.coordinate_polys[t]
             from smale_lab.polycore import derivative
 
             want = evaluate(derivative(p), z.coords[t])
@@ -141,6 +144,54 @@ class TestCriticalSet:
             enumerate_critical_set(CStarPoly(roots), cap=10)
 
 
+def _elementwise_check(P, z):
+    """(min, max, best witness, strong flags) by recomputing every term for
+    each element of the critical product."""
+    slack = cstar_module.CONJ_SLACK
+    dval = cstar_derivative_eval(P, z)
+    dnorm = dval.norm()
+    point_scale = max(1.0, z.norm())
+    n = P.degree
+    sharp_sq = ((n - 1) / n) ** 2
+    dual_sq = 1.0 / n ** 2
+
+    def strong_holds(diffs, w, factor_sq, reverse):
+        for t in range(len(diffs)):
+            lhs = abs(diffs[t]) ** 2
+            rhs = factor_sq * abs(z.coords[t] - w.coords[t]) ** 2 * abs(dval.coords[t]) ** 2
+            margin = slack * max(1.0, lhs, rhs)
+            if (rhs > lhs + margin) if reverse else (lhs > rhs + margin):
+                return False
+        return True
+
+    strong_smale = strong_dual = False
+    min_ratio, max_ratio, best_w = math.inf, -math.inf, None
+    for w in enumerate_critical_set(P).elements():
+        dist = max(abs(a - b) for a, b in zip(z.coords, w.coords))
+        assert dist > COINCIDENCE_TOL * max(point_scale, w.norm())
+        diffs = []
+        for t in range(P.dim):
+            zt, wt = z.coords[t], w.coords[t]
+            zf = [zt - r.coords[t] for r in P.roots]
+            wf = [wt - r.coords[t] for r in P.roots]
+            suffix = [1.0 + 0.0j] * (n + 1)
+            for j in range(n - 1, -1, -1):
+                suffix[j] = suffix[j + 1] * wf[j]
+            acc, prefix = 0.0 + 0.0j, 1.0 + 0.0j
+            for j in range(n):
+                acc += prefix * suffix[j + 1]
+                prefix *= zf[j]
+            diffs.append(acc * (zt - wt))
+        ratio = max(abs(d) for d in diffs) / (dist * dnorm)
+        if ratio < min_ratio:
+            min_ratio, best_w = ratio, w
+        if ratio > max_ratio:
+            max_ratio = ratio
+        strong_smale = strong_smale or strong_holds(diffs, w, sharp_sq, False)
+        strong_dual = strong_dual or strong_holds(diffs, w, dual_sq, True)
+    return min_ratio, max_ratio, best_w, strong_smale, strong_dual
+
+
 class TestCheckSmale:
     def test_degree2_equalities(self):
         stream = Stream(95)
@@ -172,25 +223,46 @@ class TestCheckSmale:
             assert v.min_ratio == pytest.approx(lo, rel=1e-12, abs=1e-12)
             assert v.max_ratio == pytest.approx(hi, rel=1e-12, abs=1e-12)
 
-    def test_exhaustive_enumeration_is_oracle(self):
-        # the min over the full product set equals the min over brute-force
-        # coordinate combinations computed independently
+    def test_exhaustive_enumeration_is_oracle(self, monkeypatch):
+        # the per-coordinate tables give exactly (==) what the element-wise
+        # loop over the full product gives, and the min/max agree with the
+        # direct differences P(z) - P(w); a negative comparison slack then
+        # makes the strong flags fail often, so both of their values occur
+        cases = []
         stream = Stream(97)
-        roots = tuple(rand_element(stream, 2, 2.0) for _ in range(3))
-        P = CStarPoly(roots)
-        z = rand_element(stream, 2, 3.0)
-        v = check_smale(P, z)
-        crit = enumerate_critical_set(P)
-        dval = cstar_derivative_eval(P, z).norm()
-        ratios = []
-        for w in crit.elements():
-            pz = cstar_eval(P, z)
-            pw = cstar_eval(P, w)
-            num = (pz - pw).norm()
-            dist = (z - w).norm()
-            ratios.append(num / dist / dval)
-        assert v.min_ratio == pytest.approx(min(ratios), rel=1e-9)
-        assert v.max_ratio == pytest.approx(max(ratios), rel=1e-9)
+        for n in range(2, 6):
+            for k in range(1, 5):
+                for trial in range(6):
+                    st_ = stream.derive(n).derive(k).derive(trial)
+                    P = CStarPoly(tuple(rand_element(st_, k, 2.0) for _ in range(n)))
+                    cases.append((P, rand_element(st_, k, 3.0)))
+        flags = set()
+        for slack in (None, -0.25):
+            if slack is not None:
+                monkeypatch.setattr(cstar_module, "CONJ_SLACK", slack)
+            for P, z in cases:
+                try:
+                    v = check_strong_forms(P, z)
+                except PreconditionError:
+                    continue
+                want = _elementwise_check(P, z)
+                got = (
+                    v.min_ratio, v.max_ratio, v.best_witness,
+                    v.strong_smale_pass, v.strong_dual_pass,
+                )
+                assert got == want
+                assert v.min_ratio == check_smale(P, z).min_ratio
+                if slack is None:
+                    dnorm = cstar_derivative_eval(P, z).norm()
+                    ratios = [
+                        (cstar_eval(P, z) - cstar_eval(P, w)).norm() / (z - w).norm() / dnorm
+                        for w in enumerate_critical_set(P).elements()
+                    ]
+                    assert v.min_ratio == pytest.approx(min(ratios), rel=1e-9)
+                    assert v.max_ratio == pytest.approx(max(ratios), rel=1e-9)
+                else:
+                    flags.update((v.strong_smale_pass, v.strong_dual_pass))
+        assert flags == {True, False}
 
     def test_min_over_product_le_min_over_subset(self):
         stream = Stream(98)
@@ -210,7 +282,7 @@ class TestCheckSmale:
         for t in range(3):
             pool = crit.per_coordinate[t].roots
             zt = z.coords[t]
-            pt = P.coordinate_poly(t)
+            pt = P.coordinate_polys[t]
             best = min(
                 pool,
                 key=lambda w: abs(evaluate(pt, zt) - evaluate(pt, w)) / abs(zt - w),

@@ -6,6 +6,7 @@ from conftest import polar
 from smale_lab.errors import CapacityError, DomainError, PreconditionError
 from smale_lab.polycore import evaluate, is_normalized
 from smale_lab.rng import Stream
+from smale_lab.rootfind import RootFindConfig
 from smale_lab.search import (
     SearchConfig,
     critical_points_from_params,
@@ -149,8 +150,26 @@ class TestHunt:
         assert a.certificates == b.certificates
 
     def test_capacity_guard(self):
+        # 4^12 critical elements exceed the product cap
         with pytest.raises(CapacityError):
-            run_hunt(5, 12, 1, SearchConfig(cap=10_000))
+            run_hunt(5, 12, 1)
+
+    def test_one_enumeration_per_trial_with_the_callers_config(self, monkeypatch):
+        # the verdict and the certificate witnesses come from the one set
+        # each trial enumerates, so every root find uses the trial's config
+        from smale_lab import cstar
+
+        seen = []
+        real = cstar.critical_points
+
+        def spy(p, cfg=RootFindConfig()):
+            seen.append(cfg.max_iters)
+            return real(p, cfg)
+
+        monkeypatch.setattr(cstar, "critical_points", spy)
+        res = run_hunt(4, 3, 5, SearchConfig(seed=1), rootcfg=RootFindConfig(max_iters=7))
+        assert res.stats.trials_run == 5
+        assert seen == [7] * (3 * 5)
 
     def test_stats_recorded(self):
         res = run_hunt(3, 2, 100, SearchConfig(seed=13))
