@@ -62,6 +62,17 @@ def _default_seed() -> int:
         raise SmaleLabError(f"SMALE_LAB_SEED must be an integer, got {env!r}")
 
 
+def _count(text: str) -> int:
+    """argparse type for a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smale-lab",
@@ -80,18 +91,18 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--step-tol", type=float, help=f"root iteration relative step tolerance (default {RootFindConfig.step_tol})")
         sp.add_argument("--max-iters", type=int, help=f"max root iteration sweeps (default {RootFindConfig.max_iters})")
         sp.add_argument("--cluster-tol", type=float, help="root clustering distance (default 1e-7 x Cauchy bound)")
-        sp.add_argument("--jobs", type=int, help="worker cap for trial loops (default 1)")
+        sp.add_argument("--jobs", type=_count, help="worker cap for trial loops (default 1)")
 
     sp = sub.add_parser("analyze", help="quotient statistics and theorem bounds for one polynomial")
     sp.add_argument("--poly", required=True, help='polynomial as JSON: {"coeffs": [[re,im],...]} or {"roots": ...}')
     sp.add_argument("--normalized", action="store_true", help="require p(0)=0, p'(0)=1 and report the normalized quantities")
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_count, default=200)
     common(sp)
 
     sp = sub.add_parser("cstar", help="randomized conjecture sweep over algebra polynomials")
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--dim", type=int, required=True, help="number of Gelfand points k")
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--trials", type=_count, required=True)
     sp.add_argument("--strong", action="store_true", help="also check the operator-order strong forms")
     common(sp)
     hunt_knobs(sp)
@@ -100,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("s0", "ds0", "cstar"), required=True)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--dim", type=int, default=1)
-    sp.add_argument("--restarts", type=int, default=64)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--restarts", type=_count, default=64)
+    sp.add_argument("--trials", type=_count, default=1000)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
     hunt_knobs(sp)
@@ -145,7 +156,7 @@ def _hunt_knobs(ns) -> dict:
     given = {k: getattr(ns, k) for k in _ROOT_KNOBS if getattr(ns, k) is not None}
     return {
         "rootcfg": RootFindConfig(**given),
-        "jobs": 1 if ns.jobs is None else max(1, ns.jobs),
+        "jobs": 1 if ns.jobs is None else ns.jobs,
     }
 
 
@@ -334,6 +345,8 @@ def _cmd_dynamics(ns, cfg: RunConfig) -> int:
         trials = int(trials_text)
     except ValueError:
         raise SmaleLabError("--random-sweep expects N,TRIALS (e.g. 3,100)")
+    if trials < 1:
+        raise SmaleLabError(f"--random-sweep TRIALS must be at least 1, got {trials}")
     certs, passed = hunt_mlp(degree, trials, seed=cfg.seed, cfg=ocfg)
     payload = {
         "kind": "dynamics",

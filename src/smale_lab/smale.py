@@ -11,6 +11,8 @@ quantities:
   (bounded below by |P'(z)| / (n 4^n), conjecturally by |P'(z)| / n).
 
 Sampling estimates are one-sided by construction and reported as such.
+Every quotient is computed by one per-polynomial kernel (``_QuotientKernel``)
+that scans all critical points of P at a point z in a single pass.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .polycore import (
     evaluate,
     is_normalized,
     kth_derivative,
+    require_finite,
 )
 from .rng import Stream
 from .rootfind import cached_critical_points, find_roots
@@ -52,6 +55,15 @@ class SampleConfig:
     seed: int = 42
     refine_starts: int = 5
     refine_max_iter: int = 120
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise DomainError(f"n_samples must be at least 1, got {self.n_samples}")
+        if self.refine_starts < 0 or self.refine_max_iter < 0:
+            raise DomainError(
+                "refine_starts and refine_max_iter must be non-negative, got "
+                f"{self.refine_starts} and {self.refine_max_iter}"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,13 +106,6 @@ def _derivative_cached(p: Poly) -> Poly:
     return derivative(p)
 
 
-def _derivative_value(p: Poly, z: Scalar):
-    dp = _derivative_cached(p)
-    dval = evaluate(dp, z)
-    threshold = CRITICAL_TOL * dp.coeff_scale * max(1.0, abs(z)) ** dp.degree
-    return dval, threshold
-
-
 def smale_quotient(p: Poly, z: Scalar, w: Scalar) -> float:
     """|P(z) - P(w)| / |z - w| via the cancellation-free divided difference."""
     if abs(z - w) <= COINCIDENCE_TOL * max(1.0, abs(z), abs(w)):
@@ -108,19 +113,75 @@ def smale_quotient(p: Poly, z: Scalar, w: Scalar) -> float:
     return abs(divided_difference(p, z, w))
 
 
+class _QuotientKernel:
+    """Everything the quotients of one polynomial need, hoisted out of the
+    per-point loop.
+
+    ``scan`` performs the float operations of ``evaluate`` on P',
+    ``smale_quotient`` and ``divided_difference`` in the same order, so its
+    values agree with them bit for bit.
+    """
+
+    __slots__ = ("criticals", "_dp_rev", "_critical_scale", "_dp_degree", "_coeffs")
+
+    def __init__(self, p: Poly):
+        if p.degree < 2:
+            raise DomainError("mean value quantities need degree >= 2")
+        dp = _derivative_cached(p)
+        self._dp_rev = tuple(reversed(dp.coeffs))
+        self._critical_scale = CRITICAL_TOL * dp.coeff_scale
+        self._dp_degree = dp.degree
+        self._coeffs = p.coeffs[1:]
+        # find_roots passes every root through evaluate, which rejects
+        # non-finite values, so the critical points need no finiteness check
+        self.criticals = cached_critical_points(p).roots
+
+    def derivative_abs(self, z: Scalar) -> float:
+        """|P'(z)|; DomainError for non-finite z, PreconditionError at a
+        critical point of P."""
+        z = require_finite(z, "evaluation point")
+        acc = 0.0 + 0.0j
+        for c in self._dp_rev:
+            acc = acc * z + c
+        dabs = abs(acc)
+        if dabs <= self._critical_scale * max(1.0, abs(z)) ** self._dp_degree:
+            raise PreconditionError(f"z = {z!r} is a critical point of p")
+        return dabs
+
+    def scan(self, z: Scalar) -> tuple[float, list[float]]:
+        """|P'(z)| and the quotient at every critical point, in root order."""
+        dabs = self.derivative_abs(z)
+        z = complex(z)
+        zscale = max(1.0, abs(z))
+        coeffs = self._coeffs
+        quotients = []
+        for w in self.criticals:
+            if abs(z - w) <= COINCIDENCE_TOL * max(zscale, abs(w)):
+                raise PreconditionError(f"points coincide: z = {z!r}, w = {w!r}")
+            acc = 0.0 + 0.0j
+            h = 1.0 + 0.0j
+            wp = 1.0 + 0.0j
+            for a in coeffs:
+                acc += a * h
+                wp *= w
+                h = z * h + wp
+            quotients.append(abs(acc))
+        return dabs, quotients
+
+    def extreme(self, dabs: float, quotients: list[float], smallest: bool) -> QuotientWitness:
+        """Witness with the smallest (or largest) of the quotients ``scan``
+        returned with ``dabs``; ties go to the first in root order."""
+        i = (min if smallest else max)(range(len(quotients)), key=quotients.__getitem__)
+        q = quotients[i]
+        return QuotientWitness(self.criticals[i], q, q * (1.0 / dabs))
+
+
 def _witnesses(p: Poly, z: Scalar) -> list[QuotientWitness]:
     """Quotient and ratio for every distinct critical point, in root order."""
-    if p.degree < 2:
-        raise DomainError("mean value quantities need degree >= 2")
-    dval, threshold = _derivative_value(p, z)
-    if abs(dval) <= threshold:
-        raise PreconditionError(f"z = {z!r} is a critical point of p")
-    inv = 1.0 / abs(dval)
-    out = []
-    for w in cached_critical_points(p).roots:
-        q = smale_quotient(p, z, w)
-        out.append(QuotientWitness(w, q, q * inv))
-    return out
+    kernel = _QuotientKernel(p)
+    dabs, qs = kernel.scan(z)
+    inv = 1.0 / dabs
+    return [QuotientWitness(w, q, q * inv) for w, q in zip(kernel.criticals, qs)]
 
 
 def s_at(p: Poly, z: Scalar) -> QuotientWitness:
@@ -187,26 +248,27 @@ def sample_points(p: Poly, sampler: SampleConfig) -> list[complex]:
     return pts
 
 
-def _refined(p: Poly, scored, maximize: bool, sampler: SampleConfig):
+def _refined(kernel: _QuotientKernel, scored, maximize: bool, sampler: SampleConfig):
     """Best sampled (value, z, witness), then simplex refinement of the ratio
     surface from the top starts.
 
     ``scored`` holds (ratio, z, witness) best first.  A refined point wins
     only when strictly better, so ties keep the sampled point, then the
-    earliest start.
+    earliest start.  Maximizing refines the smallest quotient at each z,
+    minimizing the largest.
     """
     # imported on first use: callers that never refine skip its load time
     from .simplex import nelder_mead
 
-    at = s_at if maximize else ds_at
+    pick = min if maximize else max
     sign = -1.0 if maximize else 1.0
 
     def objective(xy):
-        z = complex(xy[0], xy[1])
         try:
-            return sign * at(p, z).ratio
+            dabs, qs = kernel.scan(complex(xy[0], xy[1]))
         except (PreconditionError, DomainError):
             return math.inf
+        return sign * (pick(qs) * (1.0 / dabs))
 
     best_val, best_z, best_wit = scored[0]
     refined_z = None
@@ -223,7 +285,7 @@ def _refined(p: Poly, scored, maximize: bool, sampler: SampleConfig):
             best_val = val
             refined_z = complex(res.x[0], res.x[1])
     if refined_z is not None:
-        best_z, best_wit = refined_z, at(p, refined_z)
+        best_z, best_wit = refined_z, kernel.extreme(*kernel.scan(refined_z), maximize)
     return best_val, best_z, best_wit
 
 
@@ -232,16 +294,14 @@ def higher_order_quantity(p: Poly, z: Scalar, w: Scalar, k: int) -> float:
     n = p.degree
     if not 2 <= k <= n:
         raise DomainError(f"order k must satisfy 2 <= k <= {n}, got {k}")
-    dval, threshold = _derivative_value(p, z)
-    if abs(dval) <= threshold:
-        raise PreconditionError(f"z = {z!r} is a critical point of p")
+    dabs = _QuotientKernel(p).derivative_abs(z)
     dp = derivative(p)
     wval = abs(evaluate(dp, w))
     if wval > 1e-6 * dp.coeff_scale * max(1.0, abs(w)) ** dp.degree:
         raise PreconditionError(f"w = {w!r} is not a critical point of p")
     diff = smale_quotient(p, z, w) * abs(z - w)
     kth = abs(evaluate(kth_derivative(p, k), z))
-    return (kth / math.factorial(k)) * diff ** (k - 1) / abs(dval) ** k
+    return (kth / math.factorial(k)) * diff ** (k - 1) / dabs ** k
 
 
 def _upper(name, bound, observed):
@@ -282,23 +342,21 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
         raise DomainError("bound_report needs degree >= 2")
 
     pts = sample_points(p, sampler)
+    kernel = _QuotientKernel(p)
     s_scored = []
     ds_scored = []
     high_max: dict[int, float] = {k: 0.0 for k in range(2, n + 1)}
     dks = {k: kth_derivative(p, k) for k in range(2, n + 1)}
-    dp = _derivative_cached(p)
     for z in pts:
-        wits = _witnesses(p, z)
-        smin = min(wits, key=lambda wit: wit.quotient)
-        smax = max(wits, key=lambda wit: wit.quotient)
-        s_scored.append((smin.ratio, z, smin))
-        ds_scored.append((smax.ratio, z, smax))
-        dval = abs(evaluate(dp, z))
+        dval, qs = kernel.scan(z)
+        for scored, smallest in ((s_scored, True), (ds_scored, False)):
+            wit = kernel.extreme(dval, qs, smallest)
+            scored.append((wit.ratio, z, wit))
         # the higher-order theorem is an exists-a-witness statement; the
         # quantity grows with |P(z) - P(w)|, so the critical point with the
         # nearest critical VALUE realizes it (the quotient minimizer does
         # not: it can overshoot the bound)
-        diff = min(wit.quotient * abs(z - wit.w) for wit in wits)
+        diff = min(q * abs(z - w) for w, q in zip(kernel.criticals, qs))
         for k in range(2, n + 1):
             kth = abs(evaluate(dks[k], z))
             val = (kth / math.factorial(k)) * diff ** (k - 1) / dval ** k
@@ -307,8 +365,8 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
 
     s_scored.sort(key=lambda item: item[0], reverse=True)
     ds_scored.sort(key=lambda item: item[0])
-    s_best, s_z, s_wit = _refined(p, s_scored, True, sampler)
-    ds_best, ds_z, ds_wit = _refined(p, ds_scored, False, sampler)
+    s_best, s_z, s_wit = _refined(kernel, s_scored, True, sampler)
+    ds_best, ds_z, ds_wit = _refined(kernel, ds_scored, False, sampler)
 
     checks = [_upper(name, b, s_best) for name, b in s_upper_bounds(n)]
     checks.extend(_lower(name, b, ds_best) for name, b in ds_lower_bounds(n))

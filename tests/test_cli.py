@@ -204,6 +204,27 @@ class TestContract:
         assert cli.run(argv) == 1
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--samples", "0"], "--samples"),
+        (["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--samples", "-5"], "--samples"),
+        (["cstar", "--degree", "3", "--dim", "2", "--trials", "-4"], "--trials"),
+        (["cstar", "--degree", "2", "--dim", "2", "--trials", "3", "--jobs", "0"], "--jobs"),
+        (["search", "--mode", "s0", "--degree", "3", "--restarts", "0"], "--restarts"),
+        (["search", "--mode", "ds0", "--degree", "3", "--restarts", "-2"], "--restarts"),
+        (["search", "--mode", "cstar", "--degree", "2", "--trials", "0"], "--trials"),
+        (["dynamics", "--random-sweep", "3,-2"], "--random-sweep"),
+        (["dynamics", "--random-sweep", "3,0"], "--random-sweep"),
+    ])
+    def test_counts_below_one_are_usage_errors(self, argv, flag, capsys):
+        # a zero or negative count would otherwise run nothing and report
+        # a clean result, or fail later with a message that hides the cause
+        from smale_lab import cli
+
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
     def test_env_seed_respected(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

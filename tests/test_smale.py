@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import polar, random_roots, scale_conjugate
+from smale_lab import smale
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
+    derivative,
     evaluate,
     from_coeffs,
     from_roots,
@@ -13,6 +16,7 @@ from smale_lab.polycore import (
 )
 from smale_lab.rng import Stream
 from smale_lab.rootfind import cached_critical_points
+from smale_lab.search import random_normalized_poly
 from smale_lab.smale import (
     SampleConfig,
     bound_report,
@@ -21,6 +25,7 @@ from smale_lab.smale import (
     higher_order_quantity,
     s0,
     s_at,
+    sample_points,
     smale_quotient,
 )
 
@@ -90,8 +95,10 @@ class TestPointwise:
         assert wit.ratio == pytest.approx(0.5)
 
     def test_critical_point_rejected(self):
-        with pytest.raises(PreconditionError):
-            s_at(CUBIC, 1.0)
+        for w in cached_critical_points(CUBIC).roots:
+            for at in (s_at, ds_at):
+                with pytest.raises(PreconditionError):
+                    at(CUBIC, w)
 
     def test_degree_one_rejected(self):
         with pytest.raises(DomainError):
@@ -325,3 +332,90 @@ class TestDegree2Sweep:
                 checked += 1
                 assert abs(s_at(p, z).ratio - 0.5) <= 1e-9
                 assert abs(ds_at(p, z).ratio - 0.5) <= 1e-9
+
+
+def reference_extremes(p, z):
+    """(w, quotient, ratio) of the smallest and largest quotient at z, one
+    smale_quotient per critical point; ties go to the first in root order."""
+    inv = 1.0 / abs(evaluate(derivative(p), z))
+    found = [(w, smale_quotient(p, z, w)) for w in cached_critical_points(p).roots]
+    lo = min(found, key=lambda item: item[1])
+    hi = max(found, key=lambda item: item[1])
+    return [(w, q, q * inv) for w, q in (lo, hi)]
+
+
+def kernel_oracle_polys():
+    stream = Stream(2718)
+    for trial in range(200):
+        st_ = stream.derive(trial)
+        degree = 2 + trial % 7
+        if trial % 2:
+            yield random_normalized_poly(degree, st_)
+        else:
+            yield from_roots(random_roots(st_, degree))
+
+
+class TestQuotientKernel:
+    def test_matches_reference_loop_bitwise(self):
+        checked = 0
+        for trial, p in enumerate(kernel_oracle_polys()):
+            for z in sample_points(p, SampleConfig(n_samples=8, seed=trial)):
+                got = [(wit.w, wit.quotient, wit.ratio) for wit in (s_at(p, z), ds_at(p, z))]
+                assert got == reference_extremes(p, z)
+                checked += 1
+        assert checked == 200 * 8
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+    def test_non_finite_point_is_domain_error(self, z):
+        for at in (s_at, ds_at, reference_extremes):
+            with pytest.raises(DomainError):
+                at(CUBIC, z)
+
+    def test_coincident_point_is_precondition_error(self):
+        for w in cached_critical_points(CUBIC).roots:
+            for at in (s_at, ds_at, reference_extremes):
+                with pytest.raises(PreconditionError):
+                    at(CUBIC, w + 1e-14)
+
+    def test_bound_report_cache_lookups_do_not_grow_with_refinement(self, monkeypatch):
+        # the kernel is built once per report, so no refinement step looks
+        # up the derivative or the critical points again
+        lookups = Counter()
+
+        def spy(name, fn):
+            def counted(*args):
+                lookups[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(smale, name, counted)
+
+        spy("cached_critical_points", smale.cached_critical_points)
+        spy("_derivative_cached", smale._derivative_cached)
+        scan = smale._QuotientKernel.scan
+
+        def counted_scan(self, z):
+            lookups["scan"] += 1
+            return scan(self, z)
+
+        monkeypatch.setattr(smale._QuotientKernel, "scan", counted_scan)
+        p = from_roots(random_roots(Stream(61), 5))
+        counts = []
+        for max_iter in (30, 120):
+            lookups.clear()
+            bound_report(p, SampleConfig(n_samples=20, seed=4, refine_starts=2,
+                                         refine_max_iter=max_iter))
+            counts.append(dict(lookups))
+        short, long = counts
+        assert long.pop("scan") > short.pop("scan")
+        assert short == long
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_samples", 0),
+        ("n_samples", -5),
+        ("refine_starts", -1),
+        ("refine_max_iter", -1),
+    ])
+    def test_sample_config_rejects_bad_counts(self, field, value):
+        with pytest.raises(DomainError):
+            SampleConfig(**{field: value})
+        SampleConfig(refine_starts=0, refine_max_iter=0)
