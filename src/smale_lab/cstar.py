@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .dynamics import (
     VERDICT_CONVERGED,
     OrbitConfig,
+    escape_test,
     iterate_orbit,
-    nonzero_fixed_points,
+    petal_test,
 )
 from .errors import CapacityError, DomainError, PreconditionError
 from .polycore import (
@@ -411,31 +412,23 @@ def cstar_dynamics_check(
 
     For each critical element w away from zero, records ||P(w)|| / ||w||
     and iterates z -> P(z) pointwise; the overall flag asks for some w with
-    ratio <= 1 whose orbit converges to the zero element.
+    ratio <= 1 whose orbit converges to the zero element.  An element
+    converges when every coordinate lies in a proven petal of its own
+    coordinate polynomial (or is exactly 0), and escapes when any
+    coordinate passes that polynomial's escape radius; both tests read the
+    coefficients of ``coordinate_polys``.
     """
     if not is_cstar_normalized(P):
         raise PreconditionError("P must satisfy P(0) = 0 and P'(0) = 1")
 
-    coord_fixed = [nonzero_fixed_points(p) for p in P.coordinate_polys]
+    petals = [petal_test(p.coeffs) for p in P.coordinate_polys]
+    escapes = [escape_test(p.coeffs) for p in P.coordinate_polys]
 
-    def step(x: CStarElement) -> CStarElement:
-        return cstar_eval(P, x)
+    def converged(x: CStarElement) -> bool:
+        return all(test(xt) for test, xt in zip(petals, x.coords))
 
-    def norm_of(x: CStarElement) -> float:
-        return x.norm()
-
-    def distance(x: CStarElement, y: CStarElement) -> float:
-        return (x - y).norm()
-
-    def margin_ok(x: CStarElement) -> bool:
-        for t, fps in enumerate(coord_fixed):
-            xt = x.coords[t]
-            if abs(xt) <= cfg.zero_tol:
-                continue
-            for fp in fps:
-                if 2.0 * abs(xt) > abs(xt - fp):
-                    return False
-        return True
+    def escaped(x: CStarElement) -> bool:
+        return any(test(xt) for test, xt in zip(escapes, x.coords))
 
     crit = enumerate_critical_set(P)
     records = []
@@ -445,10 +438,15 @@ def cstar_dynamics_check(
             continue
         pw = cstar_eval(P, w)
         ratio = pw.norm() / w.norm()
-        verdict, steps, final_norm = iterate_orbit(
-            step, norm_of, distance, w, cfg, margin_ok
+        verdict, steps, last = iterate_orbit(
+            partial(cstar_eval, P),
+            lambda x, y: (x - y).norm(),
+            w,
+            cfg,
+            converged,
+            escaped,
         )
-        records.append(CStarOrbitRecord(w, ratio, verdict, steps, final_norm))
+        records.append(CStarOrbitRecord(w, ratio, verdict, steps, last.norm()))
         if ratio <= 1.0 + CONJ_SLACK and verdict == VERDICT_CONVERGED:
             overall = True
     return DynamicsReport(P.degree, P.dim, tuple(records), overall)

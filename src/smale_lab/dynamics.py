@@ -1,28 +1,42 @@
-"""Critical-orbit dynamics for normalized polynomials.
+"""Critical-orbit dynamics for normalized polynomials, decided by proof.
 
-A normalized polynomial fixes 0 with multiplier exactly 1, so orbits that
-do converge to 0 approach it algebraically (like C/m), not geometrically.
-Waiting for |z| to cross a 1e-12 threshold is therefore hopeless inside
-any reasonable iteration budget.  The engine instead declares convergence
-to zero when the orbit is simultaneously
+A normalized P(z) = z + a_2 z^2 + ... + a_n z^n fixes 0 with multiplier 1,
+so orbits converge to 0 only algebraically.  Convergence is instead proven
+with a Leau-Fatou petal (Milnor, *Dynamics in One Complex Variable*, s. 10;
+Carleson & Gamelin, *Complex Dynamics*, s. II.5).  Write P(z) = z +
+b z^(m+1) + z^(m+2) g(z) with b = a_(m+1) the first nonzero a_j after a_1,
+w = -1/(m b z^m), h = z g(z)/b and t = b z^m (1 + h).  Then -m t w = 1 + h
+and F(w) = w (1 + t)^(-m) = w + 1 + h + w R2(t), R2(t) = (1 + t)^(-m) - 1 +
+m t.  On |w| = R, |z| = r = (m |b| R)^(-1/m), so |h| <= eta = r C(r)/|b|
+with C(r) = sum_{j >= m+2} |a_j| r^(j-m-2), |t| <= tau = (1 + eta)/(m R),
+and, as (1 - x)^(-m) has the moduli of the coefficients of (1 + x)^(-m),
+|w R2(t)| <= R ((1 - tau)^(-m) - 1 - m tau) when tau < 1.  Both bounds
+decrease as |w| grows (the second is (1 + eta)/m times a positive series
+in tau), so if eta + R ((1 - tau)^(-m) - 1 - m tau) <= 1/2, the half-plane
+Re w >= R is forward-invariant, Re w grows by at least 1/2 per step and
+z -> 0.  For m = 1 and c = C(r)/|b|^2 the bound reads
+((1 + c)/R + c/R^2)/(1 - 1/R - c/R^2).  The test takes R = Re w at the
+float point it is given; growth needs only a bound below 1, so the margin
+to 1/2 absorbs float rounding.  It tests z + sum_{j >= 2} a_j z^j, so an
+input normalized only within ``is_normalized``'s 1e-10 is tested as that
+polynomial.  The identity (every a_j zero) has no petal; 0 is converged.
 
-* small (inside ``near_zero_radius``),
-* strictly shrinking in modulus for ``tail_window`` consecutive steps, and
-* at least twice as close to 0 as to any other fixed point of the map,
-
-or when it hits ``zero_tol`` outright.  Escape and cycling are decided by
-the usual radius test and a confirmed Brent comparison; anything else is
-reported as inconclusive (``max_iters``), never coerced to a verdict.
+Escape is proven with S = sum_{j < n} |a_j| and R_esc = max(1, (2 + S)/|a_n|):
+every |z| >= R_esc has |P(z)| >= |z|^(n-1) (|a_n| |z| - S) >= 2 |z|.  A
+cycle is declared by a Brent comparison confirmed by going once around;
+anything else is inconclusive (``max_iters``), never coerced to a verdict.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, PreconditionError, SmaleLabError
+from .errors import DomainError, PreconditionError
 from .polycore import Poly, evaluate, is_normalized
-from .rootfind import cached_critical_points, find_roots
+from .rootfind import cached_critical_points
 from .smale import CONJ_SLACK
 
 VERDICT_CONVERGED = "converged_to_zero"
@@ -30,25 +44,15 @@ VERDICT_ESCAPED = "escaped"
 VERDICT_MAX_ITERS = "max_iters"
 VERDICT_CYCLED = "cycled"
 
-# How many times mlp_check multiplies the iteration budget before giving up
-# on an inconclusive orbit.  Four decades cover the slowest admissible
-# decay (|z| ~ m^(-1/2) when the quadratic coefficient vanishes).
-_ESCALATIONS = 4
-_ESCALATION_FACTOR = 10
-
-# Cofactor roots this close to the origin are the origin itself (the fixed
-# point at 0 has multiplicity >= 2), not separate fixed points.
-_FIXED_POINT_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class OrbitConfig:
-    zero_tol: float = 1e-12
-    escape_radius: float = 1e6
-    max_iters: int = 10_000
+    max_iters: int = 1_000_000
     cycle_tol: float = 1e-10
-    near_zero_radius: float = 1e-3
-    tail_window: int = 32
+
+    def __post_init__(self):
+        if self.max_iters < 0 or not 0 <= self.cycle_tol < math.inf:
+            raise DomainError(f"need max_iters >= 0 and finite cycle_tol >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -60,91 +64,90 @@ class OrbitResult:
     final_modulus: float
 
 
-def iterate_orbit(step, norm_of, distance, x0, cfg: OrbitConfig, margin_ok=None):
+def petal_test(coeffs: Sequence[complex]) -> Callable[[complex], bool]:
+    """Predicate: does z lie in a proven attracting petal at 0 of
+    z + sum_{j >= 2} coeffs[j] z^j (the bound in the module docstring)?"""
+    tail = coeffs[2:]
+    m = next((i for i, a in enumerate(tail, start=1) if a != 0), None)
+    if m is None:
+        return lambda z: z == 0
+    b = tail[m - 1]
+    higher = [abs(a) for a in reversed(tail[m:])]  # |a_j| for j >= m + 2
+
+    def test(z: complex) -> bool:
+        zm = z
+        for _ in range(m - 1):
+            zm *= z
+        d = m * b * zm
+        if d == 0:
+            return z == 0
+        R = (-1 / d).real
+        if not m * R > 1:  # tau >= 1/(m R); also rejects NaN
+            return False
+        r = (m * abs(b) * R) ** (-1.0 / m)
+        c = 0.0
+        for a in higher:
+            c = c * r + a
+        eta = r * c / abs(b)
+        tau = (1 + eta) / (m * R)
+        if not tau < 1:
+            return False
+        # (1 - tau)^(-m) - 1 - m tau without cancelling the leading 1
+        return eta + R * (math.expm1(-m * math.log1p(-tau)) - m * tau) <= 0.5
+
+    return test
+
+
+def escape_test(coeffs: Sequence[complex]) -> Callable[[complex], bool]:
+    """Predicate: is |z| >= R_esc (module docstring), so its orbit escapes?
+    S includes |a_0|, so the bound holds for coeffs as given."""
+    *lower, lead = coeffs
+    if len(lower) < 2:  # degree 1 has no escape radius
+        return lambda z: False
+    radius = max(1.0, (2.0 + math.fsum(map(abs, lower))) / abs(lead))
+    return lambda z: not abs(z) < radius  # NaN from overflow also escaped
+
+
+def iterate_orbit(step, distance, x0, cfg: OrbitConfig, converged, escaped):
     """Generic orbit loop shared by the scalar and algebra-valued checks.
 
-    Returns (verdict, steps, final_norm).  ``margin_ok`` is the caller's
-    fixed-point separation test used by the soft convergence rule; cycle
-    detection is suppressed during long monotone-decreasing runs, which a
-    periodic orbit cannot produce but a slow crawl into 0 always does.
+    Returns (verdict, steps, final point).  The proven predicates
+    ``escaped`` and ``converged`` are tested at x0 and after every step; a
+    cycle found by Brent's comparison is confirmed by going once around.
     """
-    x = x0
-    mod = norm_of(x)
-    if mod <= cfg.zero_tol:
-        return VERDICT_CONVERGED, 0, mod
-    steps = 0
-    prev = mod
-    streak = 0
-    saved = x
+
+    def decide(x):
+        if escaped(x):
+            return VERDICT_ESCAPED
+        return VERDICT_CONVERGED if converged(x) else None
+
+    x = saved = x0
+    verdict = decide(x)
+    steps = lam = 0
     power = 1
-    lam = 0
-    while steps < cfg.max_iters:
+    while verdict is None and steps < cfg.max_iters:
         x = step(x)
         steps += 1
-        mod = norm_of(x)
-        if math.isnan(mod):
-            return VERDICT_ESCAPED, steps, math.inf
-        if mod <= cfg.zero_tol:
-            return VERDICT_CONVERGED, steps, mod
-        if mod >= cfg.escape_radius:
-            return VERDICT_ESCAPED, steps, mod
-        streak = streak + 1 if mod < prev else 0
-        prev = mod
-        if (
-            mod <= cfg.near_zero_radius
-            and streak >= cfg.tail_window
-            and (margin_ok is None or margin_ok(x))
-        ):
-            return VERDICT_CONVERGED, steps, mod
-        if streak < cfg.tail_window:
-            lam += 1
-            if distance(x, saved) <= cfg.cycle_tol:
-                # candidate cycle of length lam; confirm by going once around
-                y = x
-                for _ in range(lam):
-                    y = step(y)
-                    steps += 1
-                    ymod = norm_of(y)
-                    if math.isnan(ymod):
-                        return VERDICT_ESCAPED, steps, math.inf
-                    if ymod <= cfg.zero_tol:
-                        return VERDICT_CONVERGED, steps, ymod
-                    if ymod >= cfg.escape_radius:
-                        return VERDICT_ESCAPED, steps, ymod
-                if distance(y, x) <= cfg.cycle_tol:
-                    return VERDICT_CYCLED, steps, norm_of(y)
-                x = y
-                mod = norm_of(x)
-                prev = mod
-                streak = 0
-                saved = x
-                power = 1
-                lam = 0
-            elif lam == power:
-                saved = x
-                power <<= 1
-                lam = 0
-    return VERDICT_MAX_ITERS, steps, mod
-
-
-def nonzero_fixed_points(p: Poly) -> tuple[complex, ...]:
-    """Fixed points other than 0 of a normalized polynomial.
-
-    P(z) - z factors as z^2 (a_2 + a_3 z + ... + a_n z^(n-2)) up to the
-    normalization residue, so the nonzero fixed points are the roots of
-    the parenthesized cofactor.
-    """
-    tail = list(p.coeffs[2:])
-    while tail and tail[-1] == 0:
-        tail.pop()
-    if len(tail) <= 1:
-        return ()
-    try:
-        roots = find_roots(Poly(tuple(tail))).roots
-    except SmaleLabError:
-        # cofactor too degenerate to solve: fall back to no margin test
-        return ()
-    return tuple(r for r in roots if abs(r) > _FIXED_POINT_FLOOR)
+        verdict = decide(x)
+        lam += 1
+        if verdict is None and distance(x, saved) <= cfg.cycle_tol:
+            # candidate cycle of length lam; confirm by going once around
+            y = x
+            for _ in range(lam):
+                y = step(y)
+                steps += 1
+                verdict = decide(y)
+                if verdict is not None:
+                    return verdict, steps, y
+            if distance(y, x) <= cfg.cycle_tol:
+                return VERDICT_CYCLED, steps, y
+            x = saved = y
+            power, lam = 1, 0
+        elif lam == power:
+            saved = x
+            power <<= 1
+            lam = 0
+    return verdict or VERDICT_MAX_ITERS, steps, x
 
 
 def orbit(p: Poly, w0: complex, cfg: OrbitConfig = OrbitConfig()) -> OrbitResult:
@@ -152,40 +155,30 @@ def orbit(p: Poly, w0: complex, cfg: OrbitConfig = OrbitConfig()) -> OrbitResult
     if not is_normalized(p, 1e-10):
         raise PreconditionError("orbit needs p(0) = 0 and p'(0) = 1 within 1e-10")
     w0 = complex(w0)
-    rev = tuple(reversed(p.coeffs))
+    lead, *rest = reversed(p.coeffs)
 
     def step(z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in rev:
+        acc = lead
+        for c in rest:
             acc = acc * z + c
         return acc
 
-    fps = nonzero_fixed_points(p)
-
-    def margin_ok(z: complex) -> bool:
-        az = abs(z)
-        for fp in fps:
-            if 2.0 * az > abs(z - fp):
-                return False
-        return True
-
-    if abs(w0) <= cfg.zero_tol:
-        ratio = 1.0  # limit of |P(w)/w| as w -> 0 under the normalization
-    else:
-        ratio = abs(evaluate(p, w0) / w0)
-    verdict, steps, final_mod = iterate_orbit(
-        step, abs, lambda a, b: abs(a - b), w0, cfg, margin_ok
-    )
+    # at w0 = 0, the limit of |P(w)/w| as w -> 0 under the normalization
+    ratio = abs(evaluate(p, w0) / w0) if w0 != 0 else 1.0
+    tests = petal_test(p.coeffs), escape_test(p.coeffs)
+    verdict, steps, z = iterate_orbit(step, lambda a, b: abs(a - b), w0, cfg, *tests)
+    final_mod = math.inf if cmath.isnan(z) else abs(z)  # NaN: overflow, escaped
     return OrbitResult(w0, ratio, steps, verdict, final_mod)
 
 
 def mlp_check(p: Poly, cfg: OrbitConfig = OrbitConfig()) -> tuple[bool, OrbitResult]:
-    """Does some critical point have ratio <= 1 and an orbit falling to 0?
+    """Does some critical point have ratio <= 1 and an orbit proven to fall to 0?
 
-    Witnesses are tried in root-set order; an inconclusive orbit is retried
-    with a 10x larger budget a few times before the check gives up.  A
-    False answer therefore means "no witness found", not "witness refuted";
-    callers log it as a certificate rather than asserting on it.
+    Candidates run at budgets of 100, 1000, ... steps up to cfg.max_iters,
+    in root-set order at each budget, so a witness proven in a few steps is
+    found before another candidate spends the whole budget on a slow cycle.
+    A False answer means "no witness found" (an orbit may end inconclusive),
+    not "witness refuted"; callers log it as a certificate instead.
     """
     if p.degree < 2:
         raise DomainError("the dynamics check needs degree >= 2")
@@ -195,20 +188,20 @@ def mlp_check(p: Poly, cfg: OrbitConfig = OrbitConfig()) -> tuple[bool, OrbitRes
     scored = [(w, abs(evaluate(p, w) / w)) for w in crits]
     candidates = [w for w, ratio in scored if ratio <= 1.0 + CONJ_SLACK]
     last: OrbitResult | None = None
-    budget = cfg
-    for _ in range(_ESCALATIONS):
-        inconclusive = []
+    budget = 100
+    while candidates:
+        level = replace(cfg, max_iters=min(budget, cfg.max_iters))
+        undecided = []
         for w in candidates:
-            res = orbit(p, w, budget)
-            last = res
-            if res.verdict == VERDICT_CONVERGED:
-                return True, res
-            if res.verdict == VERDICT_MAX_ITERS:
-                inconclusive.append(w)
-        if not inconclusive:
+            last = orbit(p, w, level)
+            if last.verdict == VERDICT_CONVERGED:
+                return True, last
+            if last.verdict == VERDICT_MAX_ITERS:
+                undecided.append(w)
+        if level.max_iters == cfg.max_iters:
             break
-        candidates = inconclusive
-        budget = replace(budget, max_iters=budget.max_iters * _ESCALATION_FACTOR)
+        candidates = undecided
+        budget *= 10
     if last is None:
         best_w = min(scored, key=lambda item: item[1])[0]
         last = orbit(p, best_w, cfg)

@@ -54,6 +54,10 @@ class SearchConfig:
     radius_bounds: tuple[float, float] = (1e-2, 1e2)
     collision_tol: float = 1e-6
 
+    def __post_init__(self):
+        if self.restarts < 1 or self.max_iter < 1:
+            raise DomainError(f"restarts and max_iter must be at least 1: {self}")
+
 
 @dataclass(frozen=True)
 class RestartRecord:
@@ -310,6 +314,8 @@ def run_hunt(
     are independent; results are merged in trial order, so the report does
     not depend on the worker count.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     if (n - 1) ** k > DEFAULT_PRODUCT_CAP:
         raise CapacityError(
             f"critical product size {(n - 1) ** k} exceeds cap {DEFAULT_PRODUCT_CAP}"
@@ -370,6 +376,8 @@ def hunt_mlp(
     cfg: OrbitConfig = OrbitConfig(),
 ) -> tuple[list[Certificate], int]:
     """Dynamics sweep; returns (certificates, number of passing trials)."""
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     stream = Stream(seed, _STREAM_MLP).derive(degree)
     certificates = []
     passed = 0

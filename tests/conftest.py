@@ -1,10 +1,13 @@
 import cmath
+import math
+from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
 
 from smale_lab.errors import DomainError
 from smale_lab.polycore import Poly, require_finite
 from smale_lab.rng import Stream
+from smale_lab.verify import XC
 
 settings.register_profile(
     "ci",
@@ -74,3 +77,72 @@ def scale_conjugate(p: Poly, lam: complex) -> Poly:
         raise DomainError("scale factor must be nonzero")
     coeffs = tuple(c * lam ** (i - 1) for i, c in enumerate(p.coeffs))
     return Poly(coeffs)
+
+
+# Exact re-checks of the proven orbit verdicts.  Floats convert to Fraction
+# exactly; every square root and m-th root is bounded on the side that makes
+# the check harder to pass, on a grid of 2^-_ROOT_BITS.
+_ROOT_BITS = 128
+
+
+def _abs_down(a):
+    scaled = math.floor(a.abs2() * 4 ** _ROOT_BITS)
+    return Fraction(math.isqrt(scaled), 2 ** _ROOT_BITS)
+
+
+def _abs_up(a):
+    scaled = math.ceil(a.abs2() * 4 ** _ROOT_BITS)
+    return Fraction(math.isqrt(scaled) + 1, 2 ** _ROOT_BITS)
+
+
+def _iroot(n, m):
+    """floor(n ** (1/m)) for integers n >= 0, m >= 1 (Newton from above)."""
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
+def _root_up(y, m):
+    """A rational >= y ** (1/m) for a positive Fraction y."""
+    scaled = math.ceil(y * 2 ** (_ROOT_BITS * m))
+    return Fraction(_iroot(scaled, m) + 1, 2 ** _ROOT_BITS)
+
+
+def assert_in_petal(coeffs, z):
+    """z lies in a proven Leau-Fatou petal of z + sum_{j>=2} coeffs[j] z^j.
+
+    Re-derives R = Re w, r, C(r), eta and tau of ``smale_lab.dynamics`` in
+    Fraction arithmetic, with r rounded up, |b| down and every |a_j| up.
+    """
+    if z == 0:
+        return
+    a = [XC.of(complex(c)) for c in coeffs]
+    m = next(j - 1 for j in range(2, len(a)) if a[j].abs2() != 0)
+    b = a[m + 1]
+    zm = XC.of(complex(z))
+    for _ in range(m - 1):
+        zm = zm * XC.of(complex(z))
+    d = XC(Fraction(m), Fraction(0)) * b * zm
+    R = -d.re / d.abs2()  # Re(-1/d)
+    assert R > 0, f"Re w = {float(R)} is not positive"
+    abs_b = _abs_down(b)
+    r = _root_up(1 / (m * abs_b * R), m)
+    c = sum(_abs_up(a[j]) * r ** (j - m - 2) for j in range(m + 2, len(a)))
+    eta = r * c / abs_b
+    tau = (1 + eta) / (m * R)
+    assert tau < 1, f"tau = {float(tau)}"
+    bound = eta + R * ((1 - tau) ** -m - 1 - m * tau)
+    assert bound <= Fraction(1, 2), f"petal bound {float(bound)} > 1/2"
+
+
+def assert_escapes(coeffs, z):
+    """|z| >= 1 and |a_n| |z| - sum_{j<n} |a_j| >= 2, so |P(z)| >= 2 |z| and
+    every later iterate grows by that factor again."""
+    a = [XC.of(complex(c)) for c in coeffs]
+    mod = _abs_down(XC.of(complex(z)))
+    assert mod >= 1, f"|z| = {float(mod)} < 1"
+    margin = _abs_down(a[-1]) * mod - sum(_abs_up(c) for c in a[:-1])
+    assert margin >= 2, f"escape margin {float(margin)} < 2"

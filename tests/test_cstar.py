@@ -17,6 +17,7 @@ from smale_lab.cstar import (
     enumerate_critical_set,
     is_cstar_normalized,
 )
+from smale_lab.dynamics import orbit
 from smale_lab.errors import CapacityError, DomainError, PreconditionError
 from smale_lab.polycore import COINCIDENCE_TOL, evaluate, from_roots
 from smale_lab.rng import Stream
@@ -417,6 +418,30 @@ class TestCStarDynamics:
         # verdicts recorded; the conjectured statement is proved for
         # degree 3 so every trial should find a converging witness
         assert all(verdicts)
+
+    def test_one_escaping_coordinate_makes_the_element_escape(self):
+        # coordinate 0 is z^3 + z (roots 0, +-i), whose critical orbits fall
+        # into its petals; coordinate 1 is z(z - 3)(z - 1/3), whose critical
+        # point near 2.06 escapes.  Converging needs every coordinate.
+        P = CStarPoly(
+            (
+                CStarElement((0j, 0j)),
+                CStarElement((1j, 3 + 0j)),
+                CStarElement((-1j, 1 / 3 + 0j)),
+            )
+        )
+        assert is_cstar_normalized(P)
+        p0, p1 = P.coordinate_polys
+        mixed = 0
+        for rec in cstar_dynamics_check(P).records:
+            w0, w1 = rec.w.coords
+            assert orbit(p0, w0).verdict == "converged_to_zero"
+            if orbit(p1, w1).verdict == "escaped":
+                assert rec.verdict == "escaped"
+                mixed += 1
+            else:
+                assert rec.verdict == "converged_to_zero"
+        assert mixed == 2
 
     def test_non_normalized_rejected(self):
         stream = Stream(301)

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from conftest import assert_escapes, assert_in_petal
 from smale_lab import dynamics
 from smale_lab.dynamics import (
     VERDICT_CONVERGED,
@@ -9,16 +12,20 @@ from smale_lab.dynamics import (
     OrbitConfig,
     iterate_orbit,
     mlp_check,
-    nonzero_fixed_points,
     orbit,
 )
-from smale_lab.errors import DomainError, PreconditionError, RootFindError
+from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import evaluate, from_coeffs
 from smale_lab.rng import Stream
+from smale_lab.rootfind import critical_points
 from smale_lab.search import random_normalized_poly
 
 QUAD = from_coeffs([0, 1, -0.5])  # z - z^2/2
 CUBIC = from_coeffs([0, 1, 0, -1 / 3])  # z - z^3/3
+
+
+def never(x):
+    return False
 
 
 def replay_moduli(p, w0, steps):
@@ -30,12 +37,21 @@ def replay_moduli(p, w0, steps):
     return out
 
 
+def final_point(p, res):
+    """The iterate an OrbitResult ended on, replayed with the same Horner."""
+    z = res.w0
+    for _ in range(res.trajectory_len):
+        z = evaluate(p, z)
+    assert abs(z) == res.final_modulus
+    return z
+
+
 class TestOrbit:
     def test_quadratic_converges(self):
         res = orbit(QUAD, 1.0)
         assert res.verdict == VERDICT_CONVERGED
         assert res.ratio == pytest.approx(0.5)
-        assert res.final_modulus <= OrbitConfig().near_zero_radius
+        assert_in_petal(QUAD.coeffs, final_point(QUAD, res))
         # first iterates follow the hand computation 0.5, 0.375, ...
         mods = replay_moduli(QUAD, 1.0, 3)
         assert mods[1] == pytest.approx(0.5)
@@ -53,9 +69,11 @@ class TestOrbit:
         assert res.trajectory_len == 0
 
     def test_escape(self):
-        res = orbit(from_coeffs([0, 1, 1]), 10.0)
+        p = from_coeffs([0, 1, 1])
+        res = orbit(p, 2.0)
         assert res.verdict == VERDICT_ESCAPED
-        assert res.final_modulus >= OrbitConfig().escape_radius
+        assert res.trajectory_len == 1
+        assert_escapes(p.coeffs, final_point(p, res))
 
     def test_non_normalized_rejected(self):
         with pytest.raises(PreconditionError):
@@ -69,95 +87,114 @@ class TestOrbit:
             w = -0.5 / p.coeffs[2]  # the critical point
             res = orbit(p, w, cfg)
             if res.verdict == VERDICT_CONVERGED:
-                assert res.final_modulus <= max(cfg.zero_tol, cfg.near_zero_radius)
+                assert_in_petal(p.coeffs, final_point(p, res))
+
+    def test_two_petals_decided_in_one_step(self):
+        # z - z^3/3 has m = 2: its critical points +-1 each enter a petal
+        # after one step, where a threshold on |z| would wait for ~10^6 steps
+        for w in (1.0, -1.0):
+            res = orbit(CUBIC, w)
+            assert res.verdict == VERDICT_CONVERGED
+            assert res.trajectory_len == 1
+            assert_in_petal(CUBIC.coeffs, final_point(CUBIC, res))
+
+    def test_every_proven_verdict_survives_the_exact_recheck(self):
+        stream = Stream(12)
+        seen = set()
+        for degree in (3, 4, 5):
+            for trial in range(20):
+                p = random_normalized_poly(degree, stream.derive(degree).derive(trial))
+                for w in critical_points(p).roots:
+                    res = orbit(p, w)
+                    seen.add(res.verdict)
+                    if res.verdict == VERDICT_CONVERGED:
+                        assert_in_petal(p.coeffs, final_point(p, res))
+                    elif res.verdict == VERDICT_ESCAPED:
+                        assert_escapes(p.coeffs, final_point(p, res))
+        assert {VERDICT_CONVERGED, VERDICT_ESCAPED, VERDICT_CYCLED} <= seen
+
+    def test_oracle_rejects_a_point_outside_the_petal(self):
+        # at z = 1 the bound for z - z^2/2 is exactly 1, not <= 1/2
+        with pytest.raises(AssertionError):
+            assert_in_petal(QUAD.coeffs, 1.0)
+        with pytest.raises(AssertionError):
+            assert_escapes(from_coeffs([0, 1, 1]).coeffs, 2.9)
+
+    def test_identity_has_no_petal(self):
+        ident = from_coeffs([0, 1])
+        assert orbit(ident, 0.5).verdict == VERDICT_CYCLED
+        assert orbit(ident, 0.0).verdict == VERDICT_CONVERGED
+
+
+class TestOrbitConfig:
+    def test_negative_max_iters_rejected(self):
+        with pytest.raises(DomainError):
+            OrbitConfig(max_iters=-5)
+
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf])
+    def test_bad_cycle_tol_rejected(self, tol):
+        with pytest.raises(DomainError):
+            OrbitConfig(cycle_tol=tol)
+
+    def test_zero_budget_only_tests_the_start(self):
+        res = orbit(QUAD, 1.0, OrbitConfig(max_iters=0))
+        assert (res.verdict, res.trajectory_len) == (VERDICT_MAX_ITERS, 0)
+        assert orbit(QUAD, 0.5, OrbitConfig(max_iters=0)).verdict == VERDICT_CONVERGED
 
 
 class TestEngine:
     def test_pure_rotation_is_cycle(self):
         verdict, steps, final = iterate_orbit(
-            lambda z: 1j * z, abs, lambda a, b: abs(a - b), 1.0 + 0j, OrbitConfig()
+            lambda z: 1j * z,
+            lambda a, b: abs(a - b),
+            1.0 + 0j,
+            OrbitConfig(),
+            never,
+            never,
         )
         assert verdict == VERDICT_CYCLED
-        assert final == pytest.approx(1.0)
+        assert abs(final) == pytest.approx(1.0)
 
     def test_two_cycle(self):
         # x -> 1 - x on reals: {0.25, 0.75} is a 2-cycle
         verdict, _, _ = iterate_orbit(
-            lambda z: 1 - z, abs, lambda a, b: abs(a - b), 0.25 + 0j, OrbitConfig()
+            lambda z: 1 - z,
+            lambda a, b: abs(a - b),
+            0.25 + 0j,
+            OrbitConfig(),
+            never,
+            never,
         )
         assert verdict == VERDICT_CYCLED
 
     def test_slow_drift_times_out(self):
         cfg = OrbitConfig(max_iters=100)
         verdict, steps, _ = iterate_orbit(
-            lambda z: z + 0.001, abs, lambda a, b: abs(a - b), 0.002 + 0j, cfg
+            lambda z: z + 0.001,
+            lambda a, b: abs(a - b),
+            0.002 + 0j,
+            cfg,
+            never,
+            never,
         )
         assert verdict == VERDICT_MAX_ITERS
         assert steps == 100
 
     def test_slow_crawl_to_zero_not_flagged_as_cycle(self):
-        # steps shrink below cycle_tol long before the modulus does; the
-        # monotone-streak suppression must keep this a convergence verdict
-        cfg = OrbitConfig(max_iters=200_000)
-        verdict, _, final = iterate_orbit(
-            lambda z: z - z * z,
-            abs,
-            lambda a, b: abs(a - b),
-            0.9 + 0j,
-            cfg,
-        )
-        assert verdict == VERDICT_CONVERGED
-        assert final <= cfg.near_zero_radius
+        # z - z^2 creeps into 0 like 1/k; the petal proves convergence long
+        # before its steps shrink below cycle_tol
+        p = from_coeffs([0, 1, -1])
+        res = orbit(p, 0.9)
+        assert res.verdict == VERDICT_CONVERGED
+        assert_in_petal(p.coeffs, final_point(p, res))
 
 
 class TestFixedPoints:
-    def test_quadratic_has_none(self):
-        assert nonzero_fixed_points(QUAD) == ()
-
-    def test_cubic_with_vanishing_quadratic_term(self):
-        # z - z^3/3 - z = -z^3/3: only the origin, so no nonzero fixed points
-        assert nonzero_fixed_points(CUBIC) == ()
-
-    def test_explicit_fixed_point(self):
-        # z + z^2 - 2 z^3 has P(z) = z at z^2(1 - 2z) = 0, i.e. z = 1/2
-        p = from_coeffs([0, 1, 1, -2])
-        fps = nonzero_fixed_points(p)
-        assert len(fps) == 1
-        assert fps[0] == pytest.approx(0.5)
-
-    def test_root_finder_failure_gives_no_margin_test(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RootFindError("injected")
-
-        monkeypatch.setattr(dynamics, "find_roots", fail)
-        assert nonzero_fixed_points(from_coeffs([0, 1, 1, -2])) == ()
-
-    def test_unexpected_error_propagates(self, monkeypatch):
-        # only the package's own errors mean "cofactor too degenerate"
-        def boom(*args, **kwargs):
-            raise ZeroDivisionError("injected")
-
-        monkeypatch.setattr(dynamics, "find_roots", boom)
-        with pytest.raises(ZeroDivisionError):
-            nonzero_fixed_points(from_coeffs([0, 1, 1, -2]))
-
     def test_orbit_into_nonzero_fixed_point_is_not_converged(self):
-        # map with a superattracting fixed point at 0.01: orbits near it
-        # must not be classified as converging to zero
-        target = 0.01
-
-        def step(z):
-            return target + 3.0 * (z - target) ** 2
-
-        verdict, _, final = iterate_orbit(
-            step,
-            abs,
-            lambda a, b: abs(a - b),
-            0.02 + 0j,
-            OrbitConfig(),
-            margin_ok=lambda z: 2 * abs(z) <= abs(z - target),
-        )
-        assert verdict != VERDICT_CONVERGED
+        # z + z^2 - 2 z^3 fixes 1/2 with multiplier 1/2: the orbit of 0.45
+        # is attracted there, never into a petal at 0
+        res = orbit(from_coeffs([0, 1, 1, -2]), 0.45)
+        assert res.verdict == VERDICT_CYCLED
 
 
 class TestMlpCheck:
@@ -180,6 +217,29 @@ class TestMlpCheck:
     def test_normalization_guard(self):
         with pytest.raises(PreconditionError):
             mlp_check(from_coeffs([1, 1, 1]))
+
+    def test_orbits_never_run_past_max_iters(self, monkeypatch):
+        # z + b z^2 + c z^3 with |b| ~ 0.005: the fixed points 0 and -b/c are
+        # 0.005 apart and nearly parabolic, so its critical orbits need
+        # 10^4 to 10^6 steps; the first slowly approaches -b/c, the second
+        # is proven to fall to 0 after 47,480 steps
+        p = from_coeffs([0, 1, -0.0005854506051474576 + 0.004795504765578851j,
+                         -0.07101512666452468 + 0.9579384471239101j])
+        budgets = []
+        real = dynamics.orbit
+
+        def spy(p, w, cfg):
+            budgets.append(cfg.max_iters)
+            return real(p, w, cfg)
+
+        monkeypatch.setattr(dynamics, "orbit", spy)
+        ok, res = mlp_check(p, OrbitConfig(max_iters=10_000))
+        assert not ok and res.verdict == VERDICT_MAX_ITERS
+        assert max(budgets) == 10_000
+        budgets.clear()
+        ok, res = mlp_check(p)
+        assert ok and res.trajectory_len == 47_480
+        assert budgets == [100, 100, 1000, 1000, 10_000, 10_000, 100_000, 100_000]
 
     def test_seeded_quadratics(self):
         stream = Stream(515)

@@ -36,6 +36,9 @@ CASES = [
     ("search_cstar", ["search", "--mode", "cstar", "--degree", "3", "--dim", "2",
                       "--trials", "50"], 0),
     ("dynamics_poly", ["dynamics", "--poly", '{"coeffs":[[0,0],[1,0],[-0.5,0]]}'], 0),
+    # z - z^3/3: two petals (m = 2), each critical orbit proven in one step
+    ("dynamics_poly_cubic", ["dynamics", "--poly",
+                             '{"coeffs":[[0,0],[1,0],[0,0],[-0.3333333333333333,0]]}'], 0),
     # the one case that emits a certificate: an exact-confirmed cstar_dual
     ("cstar_strong_seed97", ["cstar", "--degree", "3", "--dim", "2", "--trials", "20",
                              "--strong", "--seed", "97"], 2),

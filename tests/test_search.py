@@ -95,6 +95,14 @@ class TestExtremalSearch:
         with pytest.raises(PreconditionError, match="no restart reached a finite"):
             search_extremal_s0(3, cfg)
 
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(DomainError):
+            SearchConfig(restarts=0)
+
+    def test_zero_max_iter_rejected(self):
+        with pytest.raises(DomainError):
+            SearchConfig(max_iter=0)
+
     def test_degree_range(self):
         with pytest.raises(DomainError):
             search_extremal_s0(1, FAST)
@@ -171,6 +179,11 @@ class TestHunt:
         assert res.stats.trials_run == 5
         assert seen == [7] * (3 * 5)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_count_below_one_rejected(self, trials):
+        with pytest.raises(DomainError):
+            run_hunt(2, 2, trials, SearchConfig(seed=1))
+
     def test_stats_recorded(self):
         res = run_hunt(3, 2, 100, SearchConfig(seed=13))
         assert res.stats.trials_run + res.stats.trials_skipped == 100
@@ -184,6 +197,10 @@ class TestMlpSweep:
         assert passed == 40 and certs == []
         certs, passed = hunt_mlp(3, 40, seed=5)
         assert passed == 40 and certs == []
+
+    def test_trial_count_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            hunt_mlp(3, -2)
 
     def test_random_normalized_poly_contract(self):
         stream = Stream(880)
