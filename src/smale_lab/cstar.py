@@ -31,6 +31,7 @@ from .polycore import (
     COINCIDENCE_TOL,
     CRITICAL_TOL,
     Poly,
+    _pair_to_complex,
     from_roots,
     require_finite,
     sum_of_products_derivative,
@@ -92,12 +93,9 @@ class CStarElement:
     def from_json(obj, where: str = "element") -> "CStarElement":
         if not isinstance(obj, list) or not obj:
             raise DomainError(f"{where} must be a non-empty list of [re, im] pairs")
-        coords = []
-        for i, pair in enumerate(obj):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise DomainError(f"{where}[{i}] must be a [re, im] pair")
-            coords.append(complex(pair[0], pair[1]))
-        return CStarElement(tuple(coords))
+        return CStarElement(
+            tuple(_pair_to_complex(pair, f"{where}[{i}]") for i, pair in enumerate(obj))
+        )
 
     def to_json(self) -> list:
         return [[c.real, c.imag] for c in self.coords]
@@ -220,21 +218,20 @@ def _telescoped_difference(roots, zt: complex, wt: complex) -> complex:
 
 
 def enumerate_critical_set(
-    P: CStarPoly,
-    cfg: RootFindConfig = RootFindConfig(),
-    cap: int = DEFAULT_PRODUCT_CAP,
+    P: CStarPoly, cfg: RootFindConfig = RootFindConfig()
 ) -> CriticalSet:
     """Critical elements of P as the product of coordinate critical sets.
 
     The derivative vanishes as an algebra element exactly when it vanishes
     in every coordinate, so each coordinate contributes its scalar critical
-    points independently.
+    points independently.  The product may hold at most DEFAULT_PRODUCT_CAP
+    elements.
     """
     per_coord = tuple(critical_points(p, cfg) for p in P.coordinate_polys)
     size = math.prod(len(rs.roots) for rs in per_coord)
-    if size > cap:
+    if size > DEFAULT_PRODUCT_CAP:
         raise CapacityError(
-            f"critical product has {size} elements (cap {cap}); "
+            f"critical product has {size} elements (cap {DEFAULT_PRODUCT_CAP}); "
             "reduce the degree or the dimension"
         )
     return CriticalSet(per_coord, size)
@@ -380,12 +377,13 @@ def degree2_higher_order(a: CStarElement, b: CStarElement, z: CStarElement) -> f
     return num / dval.norm() ** 2
 
 
-def is_cstar_normalized(P: CStarPoly, tol: float = 1e-10) -> bool:
+def is_cstar_normalized(P: CStarPoly) -> bool:
+    """P(0) = 0 and P'(0) = 1 within 1e-10 (the scalar orbit's tolerance)."""
     zero = CStarElement.zero(P.dim)
-    if cstar_eval(P, zero).norm() > tol:
+    if cstar_eval(P, zero).norm() > 1e-10:
         return False
     dval = cstar_derivative_eval(P, zero)
-    return (dval - CStarElement.one(P.dim)).norm() <= tol
+    return (dval - CStarElement.one(P.dim)).norm() <= 1e-10
 
 
 @dataclass(frozen=True)

@@ -44,15 +44,15 @@ VERDICT_ESCAPED = "escaped"
 VERDICT_MAX_ITERS = "max_iters"
 VERDICT_CYCLED = "cycled"
 
+_CYCLE_TOL = 1e-10  # distance at which Brent's comparison sees a cycle
 
 @dataclass(frozen=True)
 class OrbitConfig:
     max_iters: int = 1_000_000
-    cycle_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 0 or not 0 <= self.cycle_tol < math.inf:
-            raise DomainError(f"need max_iters >= 0 and finite cycle_tol >= 0: {self}")
+        if self.max_iters < 0:
+            raise DomainError(f"need max_iters >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def iterate_orbit(step, distance, x0, cfg: OrbitConfig, converged, escaped):
         steps += 1
         verdict = decide(x)
         lam += 1
-        if verdict is None and distance(x, saved) <= cfg.cycle_tol:
+        if verdict is None and distance(x, saved) <= _CYCLE_TOL:
             # candidate cycle of length lam; confirm by going once around
             y = x
             for _ in range(lam):
@@ -139,7 +139,7 @@ def iterate_orbit(step, distance, x0, cfg: OrbitConfig, converged, escaped):
                 verdict = decide(y)
                 if verdict is not None:
                     return verdict, steps, y
-            if distance(y, x) <= cfg.cycle_tol:
+            if distance(y, x) <= _CYCLE_TOL:
                 return VERDICT_CYCLED, steps, y
             x = saved = y
             power, lam = 1, 0

@@ -75,33 +75,24 @@ class Poly:
     def coeff_scale(self) -> float:
         return max(abs(c) for c in self.coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0
 
-
-def from_coeffs(values, roots=None) -> Poly:
+def from_coeffs(values) -> Poly:
     """Build a Poly from ascending coefficients, trimming trailing zeros."""
     coeffs = [complex(v) for v in values]
     if not coeffs:
         raise DomainError("empty coefficient list")
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return Poly(tuple(coeffs), None if roots is None else tuple(roots))
+    return Poly(tuple(coeffs))
 
 
-def from_roots(roots) -> Poly:
-    """Monic polynomial with the given roots (with multiplicity).
+def monic_coeffs(roots) -> list[complex]:
+    """Ascending coefficients of prod (z - r) over complex roots, unchecked.
 
-    Coefficients come from repeated linear-factor multiplication, which is
-    exact in the sense of producing the convolution of the factors; no FFT
-    is needed at the degrees this package targets.
+    Repeated linear-factor multiplication, which is exact in the sense of
+    producing the convolution of the factors; no FFT is needed at the
+    degrees this package targets.
     """
-    roots = tuple(complex(r) for r in roots)
-    if not roots:
-        raise DomainError("from_roots needs at least one root")
-    for r in roots:
-        require_finite(r, "root")
     coeffs = [1.0 + 0.0j]
     for r in roots:
         nxt = [0.0 + 0.0j] * (len(coeffs) + 1)
@@ -109,7 +100,17 @@ def from_roots(roots) -> Poly:
             nxt[i] -= r * c
             nxt[i + 1] += c
         coeffs = nxt
-    return Poly(tuple(coeffs), roots)
+    return coeffs
+
+
+def from_roots(roots) -> Poly:
+    """Monic polynomial with the given roots (with multiplicity)."""
+    roots = tuple(complex(r) for r in roots)
+    if not roots:
+        raise DomainError("from_roots needs at least one root")
+    for r in roots:
+        require_finite(r, "root")
+    return Poly(tuple(monic_coeffs(roots)), roots)
 
 
 def evaluate(p: Poly, z: Scalar) -> Scalar:
@@ -139,14 +140,6 @@ def kth_derivative(p: Poly, k: int) -> Poly:
     coeffs = tuple(
         p.coeffs[i + k] * math.perm(i + k, k) for i in range(p.degree - k + 1)
     )
-    return Poly(coeffs)
-
-
-def antiderivative_zero_at_origin(p: Poly) -> Poly:
-    """The antiderivative Q with Q' = p and Q(0) = 0 exactly."""
-    if p.is_zero:
-        return p
-    coeffs = (0.0 + 0.0j,) + tuple(c / (i + 1) for i, c in enumerate(p.coeffs))
     return Poly(coeffs)
 
 

@@ -21,13 +21,14 @@ _INIT_PHASE = 0.37
 
 _LEAD_MIN = 1e-30
 
+_POLISH_STEPS = 5  # Newton steps per root, each kept only if it lowers |p|
+
 
 @dataclass(frozen=True)
 class RootFindConfig:
     step_tol: float = 1e-14
     max_iters: int = 200
     cluster_tol: float | None = None  # None: 1e-7 * Cauchy bound
-    polish_steps: int = 5
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,10 @@ def _aberth_sweeps(monic, guesses, cfg, radius):
     return zs
 
 
-def _polish(coeffs, z, steps):
+def _polish(coeffs, z):
     val, dval = _horner_pair(coeffs, z)
     best = abs(val)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         if dval == 0 or best == 0:
             break
         cand = z - val / dval
@@ -158,7 +159,7 @@ def find_roots(p: Poly, cfg: RootFindConfig = RootFindConfig()) -> RootSet:
         radius * cmath.exp(1j * (two_pi * j / n + _INIT_PHASE)) for j in range(n)
     ]
     zs = _aberth_sweeps(monic, guesses, cfg, radius)
-    zs = [_polish(p.coeffs, z, cfg.polish_steps) for z in zs]
+    zs = [_polish(p.coeffs, z) for z in zs]
 
     tol = cfg.cluster_tol if cfg.cluster_tol is not None else 1e-7 * radius
     clusters = _cluster(zs, tol)

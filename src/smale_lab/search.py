@@ -28,10 +28,9 @@ from .errors import CapacityError, DomainError, PreconditionError, SmaleLabError
 from .polycore import (
     CRITICAL_TOL,
     Poly,
-    antiderivative_zero_at_origin,
     divided_difference,
     from_coeffs,
-    from_roots,
+    monic_coeffs,
     poly_to_json,
 )
 from .rng import Stream
@@ -45,18 +44,21 @@ _STREAM_MLP = 31
 
 _ROOT_DRAW_RADIUS = 2.0
 
+# simplex iterations per restart, critical-point moduli in [1e-2, 1e2],
+# and the distance at which two critical points collide (objective inf)
+_MAX_ITER = 800
+_LOG_RADIUS_BOUNDS = (math.log(1e-2), math.log(1e2))
+_COLLISION_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 64
     seed: int = 42
-    max_iter: int = 800
-    radius_bounds: tuple[float, float] = (1e-2, 1e2)
-    collision_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iter < 1:
-            raise DomainError(f"restarts and max_iter must be at least 1: {self}")
+        if self.restarts < 1:
+            raise DomainError(f"restarts must be at least 1: {self}")
 
 
 @dataclass(frozen=True)
@@ -87,21 +89,21 @@ def critical_points_from_params(params) -> list[complex]:
 def poly_from_critical_points(cs) -> Poly:
     """The normalized polynomial whose critical points are exactly cs.
 
-    The derivative is prod (z - c_j) divided by its own value at 0, so the
-    constant term is exactly 1.0 and the antiderivative is normalized with
-    no rounding residue.
+    The derivative is q(z) = prod (z - c_j) divided by q(0), so P'(0) is
+    exactly 1.0, and integrating with P(0) = 0 gives the coefficients
+    (0, 1, (q_1/q_0)/2, (q_2/q_0)/3, ...) with no rounding residue.
     """
-    q = from_roots(cs)
-    q0 = q.coeffs[0]
-    dp = Poly((1.0 + 0.0j,) + tuple(coeff / q0 for coeff in q.coeffs[1:]))
-    return antiderivative_zero_at_origin(dp)
+    q0, *rest = monic_coeffs(cs)
+    coeffs = [0.0 + 0.0j, 1.0 + 0.0j]
+    coeffs.extend(c / q0 / (i + 2) for i, c in enumerate(rest))
+    return Poly(tuple(coeffs))
 
 
 def _normalized_extremes(cs) -> tuple[float, float]:
-    """(min, max) over critical points of |P(c)/c| for the decoded poly."""
+    """(min, max) over critical points of |P(c)/c| for the decoded poly;
+    P'(0) = 1 exactly, so no rescaling is needed."""
     p = poly_from_critical_points(cs)
-    inv = 1.0 / abs(p.coeffs[1])
-    vals = [abs(divided_difference(p, c, 0.0 + 0.0j)) * inv for c in cs]
+    vals = [abs(divided_difference(p, c, 0.0 + 0.0j)) for c in cs]
     return min(vals), max(vals)
 
 
@@ -112,19 +114,14 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
     if not 2 <= n <= 12:
         raise DomainError(f"search supports degrees 2..12, got {n}")
     m = n - 1
-    lo = math.log(cfg.radius_bounds[0])
-    hi = math.log(cfg.radius_bounds[1])
-    bounds = []
-    for _ in range(m):
-        bounds.append((lo, hi))
-        bounds.append((-math.inf, math.inf))
+    bounds = [_LOG_RADIUS_BOUNDS, (-math.inf, math.inf)] * m
     sign = -1.0 if maximize else 1.0
 
     def objective(x) -> float:
         cs = critical_points_from_params(x)
         for i in range(len(cs)):
             for j in range(i + 1, len(cs)):
-                if abs(cs[i] - cs[j]) < cfg.collision_tol:
+                if abs(cs[i] - cs[j]) < _COLLISION_TOL:
                     return math.inf
         smin, smax = _normalized_extremes(cs)
         return sign * (smin if maximize else smax)
@@ -142,7 +139,7 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
         res = nelder_mead(
             objective,
             x0,
-            maxiter=cfg.max_iter,
+            maxiter=_MAX_ITER,
             xatol=1e-9,
             fatol=1e-11,
             adaptive=m > 1,
@@ -234,13 +231,12 @@ def _draw_cstar_instance(st: Stream, n: int, k: int, rootcfg: RootFindConfig):
 
 
 def _hunt_trial(args):
-    """One hunt trial; pure function of its arguments, safe to parallelize."""
+    """One hunt trial; pure function of its arguments, safe to parallelize.
+    None (a skipped trial) means the draw found no admissible z; errors,
+    root-find failures included, propagate."""
     stream_key, trial, n, k, strong, rootcfg, seed = args
     st = Stream.from_key(stream_key).derive(trial)
-    try:
-        P, crit, z = _draw_cstar_instance(st, n, k, rootcfg)
-    except SmaleLabError:
-        return None
+    P, crit, z = _draw_cstar_instance(st, n, k, rootcfg)
     if z is None:
         return None
     verdict = check_strong_forms(P, z, crit)
@@ -312,8 +308,13 @@ def run_hunt(
     inequality are re-decided in exact rational arithmetic before being
     reported.  An empty certificate list is the expected outcome.  Trials
     are independent; results are merged in trial order, so the report does
-    not depend on the worker count.
+    not depend on the worker count.  A trial is skipped only when its draw
+    finds no admissible z (one at least SAMPLER_MARGIN from every
+    coordinate critical point and not itself critical); an error in any
+    trial, a root-find failure included, is raised, never skipped.
     """
+    if n < 2 or k < 1:
+        raise DomainError(f"hunts need degree >= 2 and dim >= 1, got {n} and {k}")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     if (n - 1) ** k > DEFAULT_PRODUCT_CAP:

@@ -308,8 +308,8 @@ def _upper(name, bound, observed):
     return BoundCheck(name, "upper", bound, observed, observed <= bound + CONJ_SLACK)
 
 
-def _lower(name, bound, observed, strict_slack=CONJ_SLACK):
-    return BoundCheck(name, "lower", bound, observed, observed >= bound - strict_slack)
+def _lower(name, bound, observed):
+    return BoundCheck(name, "lower", bound, observed, observed >= bound - CONJ_SLACK)
 
 
 def s_upper_bounds(n: int) -> list[tuple[str, float]]:

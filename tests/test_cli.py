@@ -107,6 +107,20 @@ class TestCStar:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["strong"] is True
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--degree", "1", "--dim", "2", "--trials", "5"], "degree >= 2"),
+        (["--degree", "3", "--dim", "0", "--trials", "5"], "dim >= 1"),
+        (["--degree", "3", "--dim", "-1", "--trials", "5"], "dim >= 1"),
+        (["--degree", "3", "--dim", "2", "--trials", "20", "--max-iters", "1",
+          "--seed", "1"], "root iteration did not converge"),
+    ])
+    def test_trial_errors_exit_1_with_no_report(self, argv, message):
+        # no trial error is turned into a skip: the run fails, writes nothing
+        proc = run_cli("cstar", *argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert message in proc.stderr
+
 
 class TestSearch:
     def test_s0_degree3(self):

@@ -138,11 +138,13 @@ class TestCriticalSet:
         crit = enumerate_critical_set(CStarPoly(roots))
         assert sum(crit.per_coordinate[0].multiplicities) == 4
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
+        # the cap is read at call time; 3^3 = 27 elements exceed a cap of 10
+        monkeypatch.setattr(cstar_module, "DEFAULT_PRODUCT_CAP", 10)
         stream = Stream(94)
         roots = tuple(rand_element(stream, 3, 2.0) for _ in range(4))
-        with pytest.raises(CapacityError):
-            enumerate_critical_set(CStarPoly(roots), cap=10)
+        with pytest.raises(CapacityError, match="cap 10"):
+            enumerate_critical_set(CStarPoly(roots))
 
 
 def _elementwise_check(P, z):
@@ -465,3 +467,15 @@ class TestPolyType:
         P = CStarPoly(tuple(rand_element(stream, 3, 2.0) for _ in range(3)))
         Q = CStarPoly.from_json(P.to_json())
         assert Q == P
+
+    @pytest.mark.parametrize("obj", [
+        [], "1", [[1]], [[1, 0, 0]], [[True, 0]], [[0, False]], [["1", 0]],
+        [[None, 0]], [[float("nan"), 0]], [[0, float("inf")]],
+    ])
+    def test_element_json_rejects_bad_pairs(self, obj):
+        # one [re, im] parser for the whole package: booleans and strings
+        # are not numbers, and every rejection is a DomainError
+        with pytest.raises(DomainError):
+            CStarElement.from_json(obj)
+        with pytest.raises(DomainError):
+            CStarPoly.from_json({"roots": [obj, [[0, 0]]]})

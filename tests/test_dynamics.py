@@ -1,4 +1,3 @@
-import math
 
 import pytest
 
@@ -131,11 +130,6 @@ class TestOrbitConfig:
         with pytest.raises(DomainError):
             OrbitConfig(max_iters=-5)
 
-    @pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf])
-    def test_bad_cycle_tol_rejected(self, tol):
-        with pytest.raises(DomainError):
-            OrbitConfig(cycle_tol=tol)
-
     def test_zero_budget_only_tests_the_start(self):
         res = orbit(QUAD, 1.0, OrbitConfig(max_iters=0))
         assert (res.verdict, res.trajectory_len) == (VERDICT_MAX_ITERS, 0)
@@ -182,7 +176,7 @@ class TestEngine:
 
     def test_slow_crawl_to_zero_not_flagged_as_cycle(self):
         # z - z^2 creeps into 0 like 1/k; the petal proves convergence long
-        # before its steps shrink below cycle_tol
+        # before its steps shrink below the cycle tolerance
         p = from_coeffs([0, 1, -1])
         res = orbit(p, 0.9)
         assert res.verdict == VERDICT_CONVERGED

@@ -2,12 +2,14 @@
 
 Each case runs ``cli.run`` in-process with ``--out`` and compares the
 written report, with ``wall_time_s`` stripped, byte for byte against
-``tests/golden/<name>.json``, together with the exit code.  A refactor
-that claims "same numbers" proves it here.  After an intended output
+``tests/golden/<name>.json``, together with the exit code, and validates
+the full report against ``schema/report.schema.json``.  A refactor that
+claims "same numbers" proves it here.  After an intended output
 change, re-record with ``PYTHONPATH=src python tests/test_golden.py``
 and say in the change log which fields moved.
 """
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ import pytest
 from smale_lab import cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SCHEMA_PATH = GOLDEN_DIR.parent.parent / "schema" / "report.schema.json"
 
 # (name, argv, exit code)
 CASES = [
@@ -50,16 +53,21 @@ def _strip_wall_time(text: str) -> str:
 
 
 def _report(argv, out_path):
+    """(exit code, report text with wall_time_s stripped, parsed full report)."""
     code = cli.run([*argv, "--out", str(out_path)])
-    return code, _strip_wall_time(Path(out_path).read_text(encoding="utf-8"))
+    raw = Path(out_path).read_text(encoding="utf-8")
+    return code, _strip_wall_time(raw), json.loads(raw)
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden_report(name, argv, code, tmp_path, monkeypatch):
+    import jsonschema
+
     monkeypatch.delenv("SMALE_LAB_SEED", raising=False)
-    got_code, text = _report(argv, tmp_path / "report.json")
+    got_code, text, report = _report(argv, tmp_path / "report.json")
     assert got_code == code
     assert text == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
 
 
 if __name__ == "__main__":
@@ -70,7 +78,7 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, code in CASES:
-            got_code, text = _report(argv, Path(tmp) / "report.json")
+            got_code, text, _ = _report(argv, Path(tmp) / "report.json")
             if got_code != code:
                 sys.exit(f"{name}: exit code {got_code}, expected {code}")
             (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")

@@ -5,7 +5,6 @@ from conftest import convolve_oracle, horner_oracle, random_roots, scale_conjuga
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
     Poly,
-    antiderivative_zero_at_origin,
     derivative,
     divided_difference,
     evaluate,
@@ -122,34 +121,6 @@ class TestKthDerivative:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             kth_derivative(from_coeffs([0, 0, 1]), -1)
-
-
-class TestAntiderivative:
-    def test_termwise(self):
-        assert_coeffs(antiderivative_zero_at_origin(from_coeffs([1, 0, -1])), [0, 1, 0, -1 / 3])
-
-    def test_linear(self):
-        assert_coeffs(antiderivative_zero_at_origin(from_coeffs([0, 2])), [0, 0, 1])
-
-    def test_zero(self):
-        z = Poly((0j,))
-        assert antiderivative_zero_at_origin(z).coeffs == (0j,)
-
-    @given(st.lists(finite_complex, min_size=1, max_size=9))
-    def test_value_at_origin_is_exactly_zero(self, coeffs):
-        if all(c == 0 for c in coeffs):
-            coeffs = coeffs + [1.0 + 0j]
-        p = from_coeffs(coeffs)
-        q = antiderivative_zero_at_origin(p)
-        assert evaluate(q, 0) == 0
-
-    @given(st.lists(finite_complex, min_size=2, max_size=9))
-    def test_roundtrip_with_derivative(self, coeffs):
-        coeffs = coeffs + [1.0 + 0j]
-        p = from_coeffs(coeffs)
-        back = derivative(antiderivative_zero_at_origin(p))
-        for a, b in zip(back.coeffs, p.coeffs):
-            assert abs(a - b) <= 1e-14 * (1 + abs(b))
 
 
 class TestRenormalize:

@@ -2,13 +2,28 @@ import math
 
 import pytest
 
-from conftest import polar
-from smale_lab.errors import CapacityError, DomainError, PreconditionError
-from smale_lab.polycore import evaluate, is_normalized
+from conftest import convolve_oracle, polar
+from smale_lab import polycore, search, simplex
+from smale_lab.errors import (
+    CapacityError,
+    DomainError,
+    PreconditionError,
+    RootFindError,
+)
+from smale_lab.polycore import (
+    POLY_RESIDUAL_TOL,
+    Poly,
+    derivative,
+    divided_difference,
+    evaluate,
+    from_roots,
+    is_normalized,
+)
 from smale_lab.rng import Stream
 from smale_lab.rootfind import RootFindConfig
 from smale_lab.search import (
     SearchConfig,
+    _normalized_extremes,
     critical_points_from_params,
     extremal_family,
     hunt_mlp,
@@ -20,7 +35,33 @@ from smale_lab.search import (
 )
 from smale_lab.smale import ds0, s0, s_upper_bounds
 
-FAST = SearchConfig(restarts=16, seed=42, max_iter=500)
+FAST = SearchConfig(restarts=16, seed=42)
+
+
+def builder_oracle_sets():
+    """200 seeded critical-point sets: 1-11 points, each modulus drawn
+    log-uniformly from [1e-2, 1e2]."""
+    stream = Stream(71)
+    for trial in range(200):
+        st = stream.derive(trial)
+        yield [
+            polar(math.exp(st.uniform_in(math.log(1e-2), math.log(1e2))),
+                  st.uniform_in(0.0, 2.0 * math.pi))
+            for _ in range(1 + trial % 11)
+        ]
+
+
+def chained_builder(cs):
+    """The three-Poly chain the one-pass builder replaced, written out:
+    expand prod (z - c_j), divide P' by its value at 0, integrate from 0,
+    then take the quotient extremes with the 1 / |P'(0)| rescaling."""
+    q = convolve_oracle(cs)
+    dp = [1.0 + 0.0j] + [c / q[0] for c in q[1:]]
+    coeffs = [0.0 + 0.0j] + [c / (i + 1) for i, c in enumerate(dp)]
+    p = Poly(tuple(coeffs))
+    inv = 1.0 / abs(coeffs[1])
+    vals = [abs(divided_difference(p, c, 0.0 + 0.0j)) * inv for c in cs]
+    return coeffs, (min(vals), max(vals))
 
 
 class TestParametrization:
@@ -44,6 +85,54 @@ class TestParametrization:
         dp = derivative(p)
         for c in cs:
             assert abs(evaluate(dp, c)) <= 1e-12
+
+    def test_builder_matches_the_chain_bitwise(self):
+        parent_rejected = 0
+        for cs in builder_oracle_sets():
+            coeffs, extremes = chained_builder(cs)
+            p = poly_from_critical_points(cs)
+            assert list(p.coeffs) == coeffs
+            assert _normalized_extremes(cs) == extremes
+            # P'(c) is small on the scale of its Horner terms at c; the
+            # dropped from_roots check measured it against the largest
+            # coefficient instead, which rejects widely spread moduli
+            dp = derivative(p)
+            for c in cs:
+                terms = sum(abs(b) * abs(c) ** i for i, b in enumerate(dp.coeffs))
+                assert abs(evaluate(dp, c)) <= POLY_RESIDUAL_TOL * terms
+            try:
+                from_roots(cs)
+            except DomainError:
+                parent_rejected += 1
+        # the chain raised DomainError on these sets (67 of the 200); the
+        # builder returns their values
+        assert parent_rejected > 0
+
+    def test_one_poly_per_objective_call(self, monkeypatch):
+        built = []
+        post_init = polycore.Poly.__post_init__
+
+        def counted_post_init(poly):
+            built.append(poly)
+            post_init(poly)
+
+        monkeypatch.setattr(polycore.Poly, "__post_init__", counted_post_init)
+        calls = []
+        nelder_mead = simplex.nelder_mead
+
+        def counted_nelder_mead(func, x0, **kwargs):
+            def counted(x):
+                calls.append(x)
+                return func(x)
+
+            return nelder_mead(counted, x0, **kwargs)
+
+        monkeypatch.setattr(simplex, "nelder_mead", counted_nelder_mead)
+        state = search_extremal_s0(3, SearchConfig(restarts=2, seed=1))
+        assert len(calls) > 100
+        # one per objective call, plus the reported best_poly
+        assert len(built) == len(calls) + 1
+        assert built[-1] is state.best_poly
 
     def test_param_decode(self):
         cs = critical_points_from_params([0.0, 0.0, math.log(2.0), math.pi / 2])
@@ -89,19 +178,15 @@ class TestExtremalSearch:
             ceiling = min(1.0, 4.0 ** ((n - 2) / (n - 1)))
             assert state.objective <= ceiling + 1e-6
 
-    def test_no_finite_restart_raises(self):
+    def test_no_finite_restart_raises(self, monkeypatch):
         # a collision guard wider than the search region rejects every point
-        cfg = SearchConfig(restarts=2, collision_tol=1e9, max_iter=20)
+        monkeypatch.setattr(search, "_COLLISION_TOL", 1e9)
         with pytest.raises(PreconditionError, match="no restart reached a finite"):
-            search_extremal_s0(3, cfg)
+            search_extremal_s0(3, SearchConfig(restarts=2))
 
     def test_zero_restarts_rejected(self):
         with pytest.raises(DomainError):
             SearchConfig(restarts=0)
-
-    def test_zero_max_iter_rejected(self):
-        with pytest.raises(DomainError):
-            SearchConfig(max_iter=0)
 
     def test_degree_range(self):
         with pytest.raises(DomainError):
@@ -183,6 +268,24 @@ class TestHunt:
     def test_trial_count_below_one_rejected(self, trials):
         with pytest.raises(DomainError):
             run_hunt(2, 2, trials, SearchConfig(seed=1))
+
+    @pytest.mark.parametrize("n,k", [(1, 2), (3, 0), (3, -1)])
+    def test_degree_and_dim_below_range_rejected(self, n, k):
+        with pytest.raises(DomainError, match="degree >= 2 and dim >= 1"):
+            run_hunt(n, k, 5, SearchConfig(seed=1))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_root_find_failure_is_raised_not_skipped(self, jobs):
+        # one Aberth sweep leaves some trials' critical points unconverged
+        cfg, rootcfg = SearchConfig(seed=1), RootFindConfig(max_iters=1)
+        with pytest.raises(RootFindError):
+            run_hunt(3, 2, 20, cfg, rootcfg=rootcfg, jobs=jobs)
+
+    def test_skips_count_draws_without_an_admissible_point(self, monkeypatch):
+        # a margin wider than every sampling disk admits no z at all
+        monkeypatch.setattr(search, "SAMPLER_MARGIN", 1e9)
+        res = run_hunt(3, 2, 7, SearchConfig(seed=1))
+        assert (res.stats.trials_run, res.stats.trials_skipped) == (0, 7)
 
     def test_stats_recorded(self):
         res = run_hunt(3, 2, 100, SearchConfig(seed=13))
