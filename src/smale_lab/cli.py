@@ -5,7 +5,8 @@ Exit codes follow a strict contract so CI can tell outcomes apart:
 * 0: run completed and every check is consistent with the proved theorems
      and the conjectured inequalities;
 * 2: run completed but produced candidate counterexample certificates
-     (a mathematical finding, not a software failure);
+     (a mathematical finding, not a software failure; ``dynamics --poly``
+     emits an ``mlp`` certificate when no critical orbit gives a witness);
 * 1: usage error, malformed input, or a numerical failure (including a
      violated theorem-status bound, which can only be a software bug).
 """
@@ -17,7 +18,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -30,12 +32,12 @@ from .report import (
     poly_payload,
     scalar_report_to_json,
     search_state_to_json,
-    write_report,
 )
 from .rootfind import RootFindConfig, cached_critical_points
 from .search import (
     SearchConfig,
     hunt_mlp,
+    mlp_certificate,
     run_hunt,
     search_extremal_ds0,
     search_extremal_s0,
@@ -45,11 +47,9 @@ from .verify import Certificate, confirm_normalized
 
 DEFAULT_SEED = 42
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    out: str | None
+# what a subcommand handler returns to run: its kind-specific report body,
+# its certificates, and the CSV text that replaces the JSON report, or None
+Outcome = tuple[dict, Sequence[Certificate], str | None]
 
 
 def _default_seed() -> int:
@@ -125,22 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, cfg: RunConfig, csv_rows: list[str] | None = None) -> None:
-    """Write the JSON report, or csv_rows in its place when given."""
-    if csv_rows is not None:
-        text = "\n".join(csv_rows) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    if cfg.out:
-        write_report(cfg.out, payload)
-    else:
-        sys.stdout.write(dumps(payload) + "\n")
-
-
 def _parse_poly(raw: str) -> Poly:
     try:
         obj = json.loads(raw)
@@ -186,82 +170,56 @@ def _normalized_certificate(kind, p: Poly, seed, key, value, slack) -> Certifica
     )
 
 
-def _cmd_analyze(ns, cfg: RunConfig) -> int:
-    start = time.monotonic()
+def _cmd_analyze(ns, seed: int) -> Outcome:
     p = _parse_poly(ns.poly)
     if ns.normalized and not is_normalized(p):
         raise SmaleLabError("--normalized given but p(0) != 0 or p'(0) != 1")
-    sampler = SampleConfig(n_samples=ns.samples, seed=cfg.seed)
-    rep = bound_report(p, sampler)
+    rep = bound_report(p, SampleConfig(n_samples=ns.samples, seed=seed))
 
     certificates: list[Certificate] = []
     if rep.s0 is not None and rep.ds0 is not None:
         for kind, key, value in (("s0_sharp", "s0", rep.s0), ("ds0_dual", "ds0", rep.ds0)):
-            cert = _normalized_certificate(kind, p, cfg.seed, key, value, CONJ_SLACK)
+            cert = _normalized_certificate(kind, p, seed, key, value, CONJ_SLACK)
             if cert is not None and cert.confirmed:
                 certificates.append(cert)
 
-    payload = {
-        "kind": "analyze",
-        "seed": cfg.seed,
+    body = {
         "samples": ns.samples,
         "poly": poly_payload(p),
         "normalized": is_normalized(p),
         "report": scalar_report_to_json(rep),
-        "certificates": [c.to_json() for c in certificates],
-        "wall_time_s": time.monotonic() - start,
     }
-    _emit(payload, cfg)
-    if not rep.all_theorems_pass:
-        sys.stderr.write("theorem-status bound violated: software bug\n")
-        return 1
-    return 2 if certificates else 0
+    return body, certificates, None
 
 
-def _cmd_cstar(ns, cfg: RunConfig) -> int:
-    start = time.monotonic()
-    scfg = SearchConfig(seed=cfg.seed)
+def _cmd_cstar(ns, seed: int) -> Outcome:
     result = run_hunt(
         ns.degree,
         ns.dim,
         ns.trials,
-        scfg,
+        SearchConfig(seed=seed),
         strong=ns.strong,
         **_hunt_knobs(ns),
     )
-    payload = {
-        "kind": "cstar",
+    body = {
         "model": f"C({ns.dim} points)",
         "degree": ns.degree,
         "dim": ns.dim,
         "trials": ns.trials,
-        "seed": cfg.seed,
         "strong": ns.strong,
-        "stats": {
-            "trials_run": result.stats.trials_run,
-            "trials_skipped": result.stats.trials_skipped,
-            "worst_min_ratio": result.stats.worst_min_ratio,
-            "best_min_ratio": result.stats.best_min_ratio,
-            "worst_max_ratio": result.stats.worst_max_ratio,
-            "sharp_margin": result.stats.sharp_margin,
-            "dual_margin": result.stats.dual_margin,
-        },
-        "certificates": [c.to_json() for c in result.certificates],
-        "wall_time_s": time.monotonic() - start,
+        "stats": asdict(result.stats),
     }
-    _emit(payload, cfg)
-    return 2 if result.certificates else 0
+    return body, result.certificates, None
 
 
-def _cmd_search(ns, cfg: RunConfig) -> int:
-    start = time.monotonic()
+def _cmd_search(ns, seed: int) -> Outcome:
     n = ns.degree
-    scfg = SearchConfig(restarts=ns.restarts, seed=cfg.seed)
+    scfg = SearchConfig(restarts=ns.restarts, seed=seed)
     if ns.mode == "cstar":
         result = run_hunt(n, ns.dim, ns.trials, scfg, **_hunt_knobs(ns))
         certificates = result.certificates
         k, best, bound = ns.dim, result.stats.worst_min_ratio, (n - 1) / n
-        payload = {
+        body = {
             "dim": ns.dim,
             "trials": ns.trials,
             "worst_min_ratio": result.stats.worst_min_ratio,
@@ -283,39 +241,28 @@ def _cmd_search(ns, cfg: RunConfig) -> int:
             k, best, bound, kind = 1, state.objective, 1.0 / n, "ds0_dual"
         # beyond the conjectured value the searched extreme is a candidate finding
         cert = _normalized_certificate(
-            kind, state.best_poly, cfg.seed, "objective", state.objective, 1e-6
+            kind, state.best_poly, seed, "objective", state.objective, 1e-6
         )
         certificates = [] if cert is None else [cert]
-        payload = {
+        body = {
             "restarts": ns.restarts,
             "conjectured_value": bound,
             "state": search_state_to_json(state),
         }
-    payload.update(
-        kind="search",
-        mode=ns.mode,
-        degree=n,
-        seed=cfg.seed,
-        certificates=[c.to_json() for c in certificates],
-        wall_time_s=time.monotonic() - start,
-    )
-    rows = None
+    body.update(mode=ns.mode, degree=n)
+    csv = None
     if ns.format == "csv":
-        header = "n,k,best_value,bound,pass"
-        rows = [header, f"{n},{k},{best:.17g},{bound:.17g},{not certificates}"]
-    _emit(payload, cfg, rows)
-    return 2 if certificates else 0
+        csv = f"n,k,best_value,bound,pass\n{n},{k},{best:.17g},{bound:.17g},{not certificates}\n"
+    return body, certificates, csv
 
 
-def _cmd_dynamics(ns, cfg: RunConfig) -> int:
-    start = time.monotonic()
+def _cmd_dynamics(ns, seed: int) -> Outcome:
     ocfg = OrbitConfig()
     if ns.poly is not None:
         p = _parse_poly(ns.poly)
         ok, res = mlp_check(p, ocfg)
-        crits = cached_critical_points(p).roots
         orbits = []
-        for w in crits:
+        for w in cached_critical_points(p).roots:
             r = orbit(p, w, ocfg)
             orbits.append(
                 {
@@ -326,18 +273,14 @@ def _cmd_dynamics(ns, cfg: RunConfig) -> int:
                     "final_modulus": r.final_modulus,
                 }
             )
-        payload = {
-            "kind": "dynamics",
-            "seed": cfg.seed,
+        body = {
             "poly": poly_payload(p),
             "mlp_pass": ok,
             "witness": complex_pair(res.w0),
             "orbits": orbits,
-            "certificates": [],
-            "wall_time_s": time.monotonic() - start,
         }
-        _emit(payload, cfg)
-        return 0 if ok else 2
+        certificates = [] if ok else [mlp_certificate(p, res, 0, seed)]
+        return body, certificates, None
 
     try:
         deg_text, trials_text = ns.random_sweep.split(",")
@@ -347,39 +290,54 @@ def _cmd_dynamics(ns, cfg: RunConfig) -> int:
         raise SmaleLabError("--random-sweep expects N,TRIALS (e.g. 3,100)")
     if trials < 1:
         raise SmaleLabError(f"--random-sweep TRIALS must be at least 1, got {trials}")
-    certs, passed = hunt_mlp(degree, trials, seed=cfg.seed, cfg=ocfg)
-    payload = {
-        "kind": "dynamics",
-        "seed": cfg.seed,
-        "sweep_degree": degree,
-        "trials": trials,
-        "passed": passed,
-        "certificates": [c.to_json() for c in certs],
-        "wall_time_s": time.monotonic() - start,
-    }
-    _emit(payload, cfg)
-    return 2 if certs else 0
+    certs, passed = hunt_mlp(degree, trials, seed=seed, cfg=ocfg)
+    body = {"sweep_degree": degree, "trials": trials, "passed": passed}
+    return body, certs, None
+
+
+_COMMANDS = {
+    "analyze": _cmd_analyze,
+    "cstar": _cmd_cstar,
+    "search": _cmd_search,
+    "dynamics": _cmd_dynamics,
+}
 
 
 def run(argv) -> int:
+    """Run one subcommand and write its report; returns the exit code.
+
+    The envelope every report shares (kind, seed, certificates,
+    wall_time_s) and the exit rule are stated here once.
+    """
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    start = time.monotonic()
     try:
         seed = ns.seed if ns.seed is not None else _default_seed()
-        cfg = RunConfig(seed=seed, out=ns.out)
-        handler = {
-            "analyze": _cmd_analyze,
-            "cstar": _cmd_cstar,
-            "search": _cmd_search,
-            "dynamics": _cmd_dynamics,
-        }[ns.subcommand]
-        return handler(ns, cfg)
+        body, certificates, text = _COMMANDS[ns.subcommand](ns, seed)
     except SmaleLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    body.update(
+        kind=ns.subcommand,
+        seed=seed,
+        certificates=[c.to_json() for c in certificates],
+        wall_time_s=time.monotonic() - start,
+    )
+    if text is None:
+        text = dumps(body) + "\n"
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if ns.subcommand == "analyze" and not body["report"]["all_theorems_pass"]:
+        sys.stderr.write("theorem-status bound violated: software bug\n")
+        return 1
+    return 2 if certificates else 0
 
 
 def main() -> None:

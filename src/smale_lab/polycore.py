@@ -19,7 +19,8 @@ from .errors import DomainError, PreconditionError
 
 Scalar = complex
 
-# Residual allowed for a stored root, relative to the largest coefficient.
+# Residual allowed at a root, relative to its Horner term scale (see
+# root_residual_bounds).
 POLY_RESIDUAL_TOL = 1e-8
 
 # |P'(z)| below CRITICAL_TOL times the derivative coefficient scale counts
@@ -59,8 +60,7 @@ class Poly:
                 raise DomainError(
                     f"{len(self.roots)} roots stored for degree {self.degree}"
                 )
-            tol = POLY_RESIDUAL_TOL * self.coeff_scale
-            for r in self.roots:
+            for r, tol in zip(self.roots, root_residual_bounds(self, self.roots)):
                 res = abs(evaluate(self, r))
                 if res > tol:
                     raise DomainError(
@@ -74,6 +74,17 @@ class Poly:
     @property
     def coeff_scale(self) -> float:
         return max(abs(c) for c in self.coeffs)
+
+
+def root_residual_bounds(p: Poly, roots) -> list[float]:
+    """Largest |p(r)| accepted at each stored or computed root r.
+
+    The terms of p grow like |r|^n, so a residual is judged relative to
+    that scale (the convention of the critical-point test in smale.py).
+    """
+    accept = POLY_RESIDUAL_TOL * (1.0 + p.coeff_scale)
+    n = p.degree
+    return [accept * max(1.0, abs(r)) ** n for r in roots]
 
 
 def from_coeffs(values) -> Poly:

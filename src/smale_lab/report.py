@@ -125,13 +125,6 @@ def search_state_to_json(state: SearchState) -> dict:
     }
 
 
-def write_report(path: str, payload: dict) -> None:
-    text = dumps(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-
-
 def poly_payload(p: Poly) -> dict:
     out = poly_to_json(p)
     out["degree"] = p.degree

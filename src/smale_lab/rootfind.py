@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, RootFindError
-from .polycore import Poly, cauchy_root_bound, derivative, evaluate
+from .polycore import Poly, cauchy_root_bound, derivative, evaluate, root_residual_bounds
 
 # Phase offset (radians) of the initial guesses; irrational so the start
 # configuration never aligns with a symmetry axis of the root set.
@@ -174,11 +174,7 @@ def find_roots(p: Poly, cfg: RootFindConfig = RootFindConfig()) -> RootSet:
     mults = tuple(m for _, m in reps)
     residuals = tuple(abs(evaluate(p, r)) for r in roots)
 
-    # the terms of p grow like |r|^n, so a residual is judged relative to
-    # that scale (the convention of the critical-point test in smale.py)
-    accept = 1e-8 * (1.0 + p.coeff_scale)
-    for r, res in zip(roots, residuals):
-        bound = accept * max(1.0, abs(r)) ** n
+    for r, res, bound in zip(roots, residuals, root_residual_bounds(p, roots)):
         if res > bound:
             raise RootFindError(
                 f"root iteration did not converge within {cfg.max_iters} sweeps "

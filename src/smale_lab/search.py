@@ -23,7 +23,7 @@ from .cstar import (
     cstar_derivative_eval,
     enumerate_critical_set,
 )
-from .dynamics import OrbitConfig, mlp_check
+from .dynamics import OrbitConfig, OrbitResult, mlp_check
 from .errors import CapacityError, DomainError, PreconditionError, SmaleLabError
 from .polycore import (
     CRITICAL_TOL,
@@ -370,6 +370,31 @@ def random_normalized_poly(degree: int, st: Stream) -> Poly:
             return from_coeffs(coeffs)
 
 
+def mlp_certificate(p: Poly, res: OrbitResult, trial: int, seed: int) -> Certificate:
+    """The mlp certificate for a polynomial whose mlp_check found no witness;
+    res is the OrbitResult that check returned."""
+    ratio_sq, confirmed = confirm_normalized(
+        "mlp", p.coeffs, cached_critical_points(p).roots, bound=1.0
+    )
+    return Certificate(
+        kind="mlp",
+        degree=p.degree,
+        dim=1,
+        trial=trial,
+        seed=seed,
+        confirmed=confirmed,  # exact only for the ratio half
+        data={
+            "poly": poly_to_json(p),
+            "witness": [res.w0.real, res.w0.imag],
+            "ratio": res.ratio,
+            "verdict": res.verdict,
+            "trajectory_len": res.trajectory_len,
+            "final_modulus": res.final_modulus,
+            "exact_min_ratio_sq": ratio_sq,
+        },
+    )
+
+
 def hunt_mlp(
     degree: int,
     trials: int,
@@ -387,27 +412,6 @@ def hunt_mlp(
         ok, res = mlp_check(p, cfg)
         if ok:
             passed += 1
-            continue
-        ratio_sq, confirmed = confirm_normalized(
-            "mlp", p.coeffs, cached_critical_points(p).roots, bound=1.0
-        )
-        certificates.append(
-            Certificate(
-                kind="mlp",
-                degree=degree,
-                dim=1,
-                trial=trial,
-                seed=seed,
-                confirmed=confirmed,  # exact only for the ratio half
-                data={
-                    "poly": poly_to_json(p),
-                    "witness": [res.w0.real, res.w0.imag],
-                    "ratio": res.ratio,
-                    "verdict": res.verdict,
-                    "trajectory_len": res.trajectory_len,
-                    "final_modulus": res.final_modulus,
-                    "exact_min_ratio_sq": ratio_sq,
-                },
-            )
-        )
+        else:
+            certificates.append(mlp_certificate(p, res, trial, seed))
     return certificates, passed

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,10 @@ def canonical(report_text: str) -> str:
     data = json.loads(report_text)
     data.pop("wall_time_s", None)
     return json.dumps(data, sort_keys=True)
+
+
+def strip_wall_time(report_text: str) -> str:
+    return re.sub(r'"wall_time_s":[0-9eE+.\-]+,?', "", report_text)
 
 
 class TestAnalyze:
@@ -176,6 +181,31 @@ class TestDynamics:
         proc = run_cli("dynamics", "--random-sweep", "nope")
         assert proc.returncode == 1
 
+    def test_poly_without_witness_carries_its_mlp_certificate(self, monkeypatch, capsys):
+        # with no orbit steps no critical orbit is proven to fall to 0, so
+        # the run reports the failure as a certificate, as the sweep does
+        from smale_lab import cli
+        from smale_lab.dynamics import OrbitConfig, mlp_check
+        from smale_lab.polycore import from_coeffs
+        from smale_lab.report import dumps
+        from smale_lab.search import mlp_certificate
+
+        no_steps = OrbitConfig(max_iters=0)
+        monkeypatch.setattr(cli, "OrbitConfig", lambda: no_steps)
+        code = cli.run(
+            ["dynamics", "--poly", '{"coeffs":[[0,0],[1,0],[-0.5,0]]}', "--seed", "5"]
+        )
+        data = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert data["mlp_pass"] is False
+        load_schema_validator()(data)
+        p = from_coeffs([0, 1, -0.5])
+        ok, res = mlp_check(p, no_steps)
+        assert not ok
+        expected = json.loads(dumps(mlp_certificate(p, res, 0, 5).to_json()))
+        assert data["certificates"] == [expected]
+        assert expected["kind"] == "mlp"
+
 
 class TestContract:
     def test_usage_error_is_exit_1(self):
@@ -239,6 +269,20 @@ class TestContract:
         assert captured.out == ""
         assert flag in captured.err
 
+    def test_theorem_violation_exits_1_after_the_report(self, monkeypatch, capsys):
+        # a failed theorem-status check can only be a software bug: the
+        # report is still written, then the run exits 1
+        from smale_lab import cli, smale
+
+        monkeypatch.setattr(smale, "s_upper_bounds", lambda n: [("smale_theorem", 0.0)])
+        code = cli.run(
+            ["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--samples", "30", "--seed", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["report"]["all_theorems_pass"] is False
+        assert captured.err == "theorem-status bound violated: software bug\n"
+
     def test_env_seed_respected(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -254,14 +298,17 @@ class TestContract:
 
     def test_report_written_to_file(self, tmp_path):
         out = tmp_path / "r.json"
-        proc = run_cli(
-            "analyze", "--poly", '{"roots":[[1,0],[-1,0]]}', "--samples", "30",
-            "--out", str(out),
-        )
+        argv = ["analyze", "--poly", '{"roots":[[1,0],[-1,0]]}', "--samples", "30"]
+        proc = run_cli(*argv, "--out", str(out))
         assert proc.returncode == 0
-        data = json.loads(out.read_text())
+        assert proc.stdout == ""
+        text = out.read_text()
+        assert text.endswith("\n")
+        data = json.loads(text)
         assert data["kind"] == "analyze"
         assert_finite_numbers(data)
+        # the file holds the text the same command writes to stdout
+        assert strip_wall_time(text) == strip_wall_time(run_cli(*argv).stdout)
 
     def test_floats_have_17_significant_digits(self, tmp_path):
         out = tmp_path / "r.json"

@@ -3,7 +3,10 @@
 Each case runs ``cli.run`` in-process with ``--out`` and compares the
 written report, with ``wall_time_s`` stripped, byte for byte against
 ``tests/golden/<name>.json``, together with the exit code, and validates
-the full report against ``schema/report.schema.json``.  A refactor that
+the full report against ``schema/report.schema.json`` (also when
+re-recording, so a report that breaks the schema is never written) and
+the envelope: ``kind`` is the subcommand, and the exit code is 2 exactly
+when there are certificates.  A refactor that
 claims "same numbers" proves it here.  After an intended output
 change, re-record with ``PYTHONPATH=src python tests/test_golden.py``
 and say in the change log which fields moved.
@@ -45,6 +48,11 @@ CASES = [
     # the one case that emits a certificate: an exact-confirmed cstar_dual
     ("cstar_strong_seed97", ["cstar", "--degree", "3", "--dim", "2", "--trials", "20",
                              "--strong", "--seed", "97"], 2),
+    # stored roots with moduli 1e-2 .. 1e2: each residual is judged on the
+    # scale of its Horner terms, not on the largest coefficient alone
+    ("analyze_spread_roots", ["analyze", "--poly",
+                              '{"roots":[[100,0],[0.01,0],[0,0.01],[-0.01,0],'
+                              '[0,-0.01],[0.005,0.005]]}'], 0),
 ]
 
 
@@ -53,21 +61,26 @@ def _strip_wall_time(text: str) -> str:
 
 
 def _report(argv, out_path):
-    """(exit code, report text with wall_time_s stripped, parsed full report)."""
+    """(exit code, report text with wall_time_s stripped, parsed full report);
+    raises if the full report does not validate against the schema."""
+    import jsonschema
+
     code = cli.run([*argv, "--out", str(out_path)])
     raw = Path(out_path).read_text(encoding="utf-8")
-    return code, _strip_wall_time(raw), json.loads(raw)
+    report = json.loads(raw)
+    jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
+    return code, _strip_wall_time(raw), report
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden_report(name, argv, code, tmp_path, monkeypatch):
-    import jsonschema
-
     monkeypatch.delenv("SMALE_LAB_SEED", raising=False)
     got_code, text, report = _report(argv, tmp_path / "report.json")
     assert got_code == code
     assert text == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
-    jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
+    # the envelope cli.run writes for every command
+    assert report["kind"] == argv[0]
+    assert got_code == (2 if report["certificates"] else 0)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from smale_lab.report import complex_pair, dumps, write_report
+from smale_lab.report import complex_pair, dumps
 
 
 class TestDumps:
@@ -44,11 +44,3 @@ class TestDumps:
 
     def test_complex_pair(self):
         assert complex_pair(1 - 2j) == [1.0, -2.0]
-
-
-class TestWrite:
-    def test_round_trip_through_file(self, tmp_path):
-        path = tmp_path / "r.json"
-        write_report(str(path), {"kind": "analyze", "x": 0.5})
-        assert json.loads(path.read_text()) == {"kind": "analyze", "x": 0.5}
-        assert path.read_text().endswith("\n")
