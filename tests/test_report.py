@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from smale_lab.cli import run
 from smale_lab.report import complex_pair, dumps
 
 
@@ -44,3 +45,22 @@ class TestDumps:
 
     def test_complex_pair(self):
         assert complex_pair(1 - 2j) == [1.0, -2.0]
+
+
+class TestWrite:
+    def test_round_trip_through_file(self, tmp_path, capsys):
+        # cli.run writes every report; the file parses back to the report
+        # the same run prints on stdout (wall time aside)
+        path = tmp_path / "r.json"
+        argv = ["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--samples", "10", "--seed", "7"]
+        assert run([*argv, "--out", str(path)]) == 0
+        assert run(argv) == 0
+        text = path.read_text()
+        assert text.endswith("\n")
+        from_file = json.loads(text)
+        from_stdout = json.loads(capsys.readouterr().out)
+        assert from_file["kind"] == "analyze"
+        for report in (from_file, from_stdout):
+            del report["wall_time_s"]
+        assert from_file == from_stdout
+        assert json.loads(dumps(from_file)) == from_file
