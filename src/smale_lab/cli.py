@@ -314,6 +314,10 @@ def run(argv) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # a missing --out directory is reported before the run, not after it
+    if ns.out and not os.path.isdir(os.path.dirname(ns.out) or "."):
+        sys.stderr.write(f"error: cannot write --out {ns.out}: no such directory\n")
+        return 1
     start = time.monotonic()
     try:
         seed = ns.seed if ns.seed is not None else _default_seed()
@@ -330,8 +334,12 @@ def run(argv) -> int:
     if text is None:
         text = dumps(body) + "\n"
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write --out {ns.out}: {exc.strerror or exc}\n")
+            return 1
     else:
         sys.stdout.write(text)
     if ns.subcommand == "analyze" and not body["report"]["all_theorems_pass"]:

@@ -7,7 +7,9 @@ log-radial coordinates with bound constraints, so the optimizer cannot
 drive a critical point to 0 or infinity, and a collision guard keeps the
 objective defined.  The objective is a min (or max) over branches, hence
 not smooth at witness switches; a derivative-free simplex with many seeded
-restarts is used instead of gradients.
+restarts is used instead of gradients.  The objective runs on the plain
+coefficient list of the decoded polynomial, with no Poly per simplex
+vertex; the reported best polynomial is the one Poly a search builds.
 """
 
 from __future__ import annotations
@@ -25,17 +27,10 @@ from .cstar import (
 )
 from .dynamics import OrbitConfig, OrbitResult, mlp_check
 from .errors import CapacityError, DomainError, PreconditionError, SmaleLabError
-from .polycore import (
-    CRITICAL_TOL,
-    Poly,
-    divided_difference,
-    from_coeffs,
-    monic_coeffs,
-    poly_to_json,
-)
+from .polycore import CRITICAL_TOL, Poly, from_coeffs, monic_coeffs, poly_to_json
 from .rng import Stream
 from .rootfind import RootFindConfig, cached_critical_points
-from .smale import CONJ_SLACK, SAMPLER_MARGIN
+from .smale import CONJ_SLACK, SAMPLER_MARGIN, quotients_at_zero
 from .verify import Certificate, confirm_normalized, exact_cstar_quotients
 
 _STREAM_SEARCH = 23
@@ -86,24 +81,40 @@ def critical_points_from_params(params) -> list[complex]:
     return cs
 
 
-def poly_from_critical_points(cs) -> Poly:
-    """The normalized polynomial whose critical points are exactly cs.
+def _normalized_coeffs(cs) -> list[complex]:
+    """Coefficients a_1 .. a_n of the normalized polynomial whose critical
+    points are exactly cs, unchecked.
 
     The derivative is q(z) = prod (z - c_j) divided by q(0), so P'(0) is
     exactly 1.0, and integrating with P(0) = 0 gives the coefficients
-    (0, 1, (q_1/q_0)/2, (q_2/q_0)/3, ...) with no rounding residue.
+    (1, (q_1/q_0)/2, (q_2/q_0)/3, ...) with no rounding residue.
     """
     q0, *rest = monic_coeffs(cs)
-    coeffs = [0.0 + 0.0j, 1.0 + 0.0j]
+    coeffs = [1.0 + 0.0j]
     coeffs.extend(c / q0 / (i + 2) for i, c in enumerate(rest))
-    return Poly(tuple(coeffs))
+    return coeffs
+
+
+def poly_from_critical_points(cs) -> Poly:
+    """The normalized polynomial whose critical points are exactly cs."""
+    return Poly((0.0 + 0.0j, *_normalized_coeffs(cs)))
 
 
 def _normalized_extremes(cs) -> tuple[float, float]:
     """(min, max) over critical points of |P(c)/c| for the decoded poly;
-    P'(0) = 1 exactly, so no rescaling is needed."""
-    p = poly_from_critical_points(cs)
-    vals = [abs(divided_difference(p, c, 0.0 + 0.0j)) for c in cs]
+    P'(0) = 1 exactly, so no rescaling is needed.
+
+    Runs on the plain coefficient list, with no Poly.  A non-finite
+    coefficient or point and a zero leading coefficient still raise
+    DomainError, with the messages of Poly and divided_difference.
+    """
+    coeffs = _normalized_coeffs(cs)
+    for a in coeffs:
+        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            raise DomainError(f"coefficient must be finite, got {a!r}")
+    if abs(coeffs[-1]) == 0.0:
+        raise DomainError("leading coefficient must be nonzero")
+    vals = quotients_at_zero(coeffs, cs)
     return min(vals), max(vals)
 
 

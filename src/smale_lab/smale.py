@@ -12,7 +12,9 @@ quantities:
 
 Sampling estimates are one-sided by construction and reported as such.
 Every quotient is computed by one per-polynomial kernel (``_QuotientKernel``)
-that scans all critical points of P at a point z in a single pass.
+that scans all critical points of P at a point z in a single pass; the
+normalized quantities at z = 0, which the extremal search shares, use
+``quotients_at_zero``.
 """
 
 from __future__ import annotations
@@ -194,19 +196,38 @@ def ds_at(p: Poly, z: Scalar) -> QuotientWitness:
     return max(_witnesses(p, z), key=lambda wit: wit.quotient)
 
 
+def quotients_at_zero(coeffs, points) -> list[float]:
+    """|P(c) / c| at each point c, where ``coeffs`` are a_1 .. a_n of a P
+    with P(0) = 0: the float operations of ``divided_difference(P, c, 0)``
+    in the same order, so its values bit for bit.  A non-finite point is a
+    DomainError; the coefficients are the caller's to check."""
+    out = []
+    for c in points:
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise DomainError(f"point z must be finite, got {c!r}")
+        acc = 0.0 + 0.0j
+        h = 1.0 + 0.0j
+        for a in coeffs:
+            acc += a * h
+            h = c * h + 0j
+        out.append(abs(acc))
+    return out
+
+
 def _normalized_witnesses(p: Poly) -> list[QuotientWitness]:
     if p.degree < 2:
         raise DomainError("normalized quantities need degree >= 2")
     if not is_normalized(p):
         raise PreconditionError("p must satisfy p(0) = 0 and p'(0) = 1")
-    dval = p.coeffs[1]
-    out = []
-    for w in cached_critical_points(p).roots:
+    criticals = cached_critical_points(p).roots
+    for w in criticals:
         if abs(w) <= COINCIDENCE_TOL:
             raise PreconditionError(f"critical point {w!r} coincides with 0")
-        q = abs(divided_difference(p, w, 0.0 + 0.0j))
-        out.append(QuotientWitness(w, q, q / abs(dval)))
-    return out
+    dabs = abs(p.coeffs[1])
+    return [
+        QuotientWitness(w, q, q / dabs)
+        for w, q in zip(criticals, quotients_at_zero(p.coeffs[1:], criticals))
+    ]
 
 
 def s0(p: Poly) -> QuotientWitness:

@@ -310,6 +310,22 @@ class TestContract:
         # the file holds the text the same command writes to stdout
         assert strip_wall_time(text) == strip_wall_time(run_cli(*argv).stdout)
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory itself"])
+    def test_unwritable_out_is_an_error_line(self, tmp_path, where):
+        # a missing directory is caught before the run, a path that cannot
+        # be opened for writing when the report is written
+        out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        proc = run_cli(
+            "analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--samples", "10",
+            "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot write --out {out}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "missing").exists()
+
     def test_floats_have_17_significant_digits(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli(

@@ -53,6 +53,12 @@ CASES = [
     ("analyze_spread_roots", ["analyze", "--poly",
                               '{"roots":[[100,0],[0.01,0],[0,0.01],[-0.01,0],'
                               '[0,-0.01],[0.005,0.005]]}'], 0),
+    # longer coefficient loops in the search objective: degree 7, and
+    # degree 12, the top of the supported range
+    ("search_ds0_deg7", ["search", "--mode", "ds0", "--degree", "7", "--restarts", "4",
+                         "--seed", "3"], 0),
+    ("search_s0_deg12", ["search", "--mode", "s0", "--degree", "12", "--restarts", "1",
+                         "--seed", "5"], 0),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -107,7 +108,7 @@ class TestParametrization:
         # the builder does
         assert chain_rejected == 0
 
-    def test_one_poly_per_objective_call(self, monkeypatch):
+    def test_no_poly_and_no_divided_difference_per_objective_call(self, monkeypatch):
         built = []
         post_init = polycore.Poly.__post_init__
 
@@ -127,11 +128,45 @@ class TestParametrization:
             return nelder_mead(counted, x0, **kwargs)
 
         monkeypatch.setattr(simplex, "nelder_mead", counted_nelder_mead)
-        state = search_extremal_s0(3, SearchConfig(restarts=2, seed=1))
+        # divided_difference is matched by code object, so a call through
+        # any module's imported name is counted
+        dd_code = polycore.divided_difference.__code__
+        dd_calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is dd_code:
+                dd_calls.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            state = search_extremal_s0(3, SearchConfig(restarts=2, seed=1))
+        finally:
+            sys.setprofile(None)
         assert len(calls) > 100
-        # one per objective call, plus the reported best_poly
-        assert len(built) == len(calls) + 1
-        assert built[-1] is state.best_poly
+        assert dd_calls == []
+        # the reported best_poly is the only Poly a search builds
+        assert len(built) == 1
+        assert built[0] is state.best_poly
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            [complex(math.nan, 0.0)],
+            [1.0 + 0.0j, complex(0.0, math.inf)],
+            [complex(-math.inf, 1.0), 0.5j, -2.0 + 0.0j],
+            [1e200 + 0.0j, 1e200j, -1e200 + 0.0j],
+        ],
+        ids=["nan", "inf-imag", "inf-real", "overflow"],
+    )
+    def test_non_finite_sets_rejected_as_by_the_chain(self, cs):
+        """_normalized_extremes raises the DomainError the Poly and
+        divided_difference chain raised, with the same message."""
+        with pytest.raises(DomainError) as chain:
+            p = poly_from_critical_points(cs)
+            [divided_difference(p, c, 0.0 + 0.0j) for c in cs]
+        with pytest.raises(DomainError) as direct:
+            _normalized_extremes(cs)
+        assert str(direct.value) == str(chain.value)
 
     def test_param_decode(self):
         cs = critical_points_from_params([0.0, 0.0, math.log(2.0), math.pi / 2])

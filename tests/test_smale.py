@@ -9,6 +9,7 @@ from smale_lab import smale
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
     derivative,
+    divided_difference,
     evaluate,
     from_coeffs,
     from_roots,
@@ -23,6 +24,7 @@ from smale_lab.smale import (
     ds0,
     ds_at,
     higher_order_quantity,
+    quotients_at_zero,
     s0,
     s_at,
     sample_points,
@@ -145,6 +147,23 @@ class TestNormalized:
     def test_non_normalized_rejected(self):
         with pytest.raises(PreconditionError):
             s0(from_coeffs([0, 2, 1]))
+
+    def test_quotients_at_zero_match_divided_difference_bitwise(self):
+        stream = Stream(3141)
+        for trial in range(100):
+            st_ = stream.derive(trial)
+            p = random_normalized_poly(2 + trial % 11, st_)
+            points = [st_.complex_in_disk(3.0) for _ in range(5)]
+            want = [abs(divided_difference(p, c, 0.0 + 0.0j)) for c in points]
+            assert quotients_at_zero(p.coeffs[1:], points) == want
+
+    @pytest.mark.parametrize("c", [complex(math.nan, 0.0), complex(0.0, -math.inf)])
+    def test_quotients_at_zero_reject_a_non_finite_point(self, c):
+        with pytest.raises(DomainError) as chain:
+            divided_difference(CUBIC, c, 0.0 + 0.0j)
+        with pytest.raises(DomainError) as direct:
+            quotients_at_zero(CUBIC.coeffs[1:], [1.0 + 0.0j, c])
+        assert str(direct.value) == str(chain.value)
 
     def test_extremal_family_values(self):
         for n in range(2, 11):
