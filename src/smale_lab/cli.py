@@ -110,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="extremal search / counterexample hunt")
     sp.add_argument("--mode", choices=("s0", "ds0", "cstar"), required=True)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--dim", type=int, default=1)
-    sp.add_argument("--restarts", type=_count, default=64)
-    sp.add_argument("--trials", type=_count, default=1000)
+    sp.add_argument("--dim", type=int, help="cstar mode: number of Gelfand points (default 1)")
+    sp.add_argument("--restarts", type=_count, help=f"s0/ds0 modes: search restarts (default {SearchConfig.restarts})")
+    sp.add_argument("--trials", type=_count, help="cstar mode: hunt trials (default 1000)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
     hunt_knobs(sp)
@@ -212,27 +212,33 @@ def _cmd_cstar(ns, seed: int) -> Outcome:
     return body, result.certificates, None
 
 
+# the optional search flags each mode reads (None when unset); a mode rejects the others
+_SEARCH_OPTIONS = {"s0": ("restarts",), "ds0": ("restarts",), "cstar": ("dim", "trials", *_ROOT_KNOBS, "jobs")}
+
+
 def _cmd_search(ns, seed: int) -> Outcome:
     n = ns.degree
-    scfg = SearchConfig(restarts=ns.restarts, seed=seed)
+    foreign = [
+        "--" + key.replace("_", "-")
+        for key in ("restarts", *_SEARCH_OPTIONS["cstar"])
+        if key not in _SEARCH_OPTIONS[ns.mode] and getattr(ns, key) is not None
+    ]
+    if foreign:
+        raise SmaleLabError(f"--mode {ns.mode} does not take {', '.join(foreign)}")
     if ns.mode == "cstar":
-        result = run_hunt(n, ns.dim, ns.trials, scfg, **_hunt_knobs(ns))
+        dim = 1 if ns.dim is None else ns.dim
+        trials = 1000 if ns.trials is None else ns.trials
+        result = run_hunt(n, dim, trials, SearchConfig(seed=seed), **_hunt_knobs(ns))
         certificates = result.certificates
-        k, best, bound = ns.dim, result.stats.worst_min_ratio, (n - 1) / n
+        k, best, bound = dim, result.stats.worst_min_ratio, (n - 1) / n
         body = {
-            "dim": ns.dim,
-            "trials": ns.trials,
+            "dim": dim,
+            "trials": trials,
             "worst_min_ratio": result.stats.worst_min_ratio,
             "worst_max_ratio": result.stats.worst_max_ratio,
         }
     else:
-        given = [
-            "--" + key.replace("_", "-")
-            for key in (*_ROOT_KNOBS, "jobs")
-            if getattr(ns, key) is not None
-        ]
-        if given:
-            raise SmaleLabError(f"--mode {ns.mode} does not take {', '.join(given)}")
+        scfg = SearchConfig(seed=seed) if ns.restarts is None else SearchConfig(restarts=ns.restarts, seed=seed)
         if ns.mode == "s0":
             state = search_extremal_s0(n, scfg)
             k, best, bound, kind = 1, state.objective, (n - 1) / n, "s0_sharp"
@@ -245,7 +251,7 @@ def _cmd_search(ns, seed: int) -> Outcome:
         )
         certificates = [] if cert is None else [cert]
         body = {
-            "restarts": ns.restarts,
+            "restarts": scfg.restarts,
             "conjectured_value": bound,
             "state": search_state_to_json(state),
         }

@@ -83,13 +83,16 @@ def critical_points_from_params(params) -> list[complex]:
 
 def _normalized_coeffs(cs) -> list[complex]:
     """Coefficients a_1 .. a_n of the normalized polynomial whose critical
-    points are exactly cs, unchecked.
+    points are exactly cs; only q(0) = 0 (a zero or underflowed product of
+    the cs) is checked, as a DomainError.
 
     The derivative is q(z) = prod (z - c_j) divided by q(0), so P'(0) is
     exactly 1.0, and integrating with P(0) = 0 gives the coefficients
     (1, (q_1/q_0)/2, (q_2/q_0)/3, ...) with no rounding residue.
     """
     q0, *rest = monic_coeffs(cs)
+    if q0 == 0:
+        raise DomainError("critical points must be nonzero: their product is 0")
     coeffs = [1.0 + 0.0j]
     coeffs.extend(c / q0 / (i + 2) for i, c in enumerate(rest))
     return coeffs

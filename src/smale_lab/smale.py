@@ -11,9 +11,10 @@ quantities:
   (bounded below by |P'(z)| / (n 4^n), conjecturally by |P'(z)| / n).
 
 Sampling estimates are one-sided by construction and reported as such.
-Every quotient is computed by one per-polynomial kernel (``_QuotientKernel``)
-that scans all critical points of P at a point z in a single pass; the
-normalized quantities at z = 0, which the extremal search shares, use
+Each polynomial has one cached kernel (``_kernel``) holding P', its critical
+threshold and its critical points, which every entry point reads; it scans
+all critical points at a point z in a single pass.  The normalized
+quantities at z = 0, which the extremal search shares, use
 ``quotients_at_zero``.
 """
 
@@ -34,7 +35,6 @@ from .polycore import (
     evaluate,
     is_normalized,
     kth_derivative,
-    require_finite,
 )
 from .rng import Stream
 from .rootfind import cached_critical_points, find_roots
@@ -103,11 +103,6 @@ class ScalarReport:
         return all(c.passed for c in self.bound_checks)
 
 
-@lru_cache(maxsize=2048)
-def _derivative_cached(p: Poly) -> Poly:
-    return derivative(p)
-
-
 def smale_quotient(p: Poly, z: Scalar, w: Scalar) -> float:
     """|P(z) - P(w)| / |z - w| via the cancellation-free divided difference."""
     if abs(z - w) <= COINCIDENCE_TOL * max(1.0, abs(z), abs(w)):
@@ -117,22 +112,20 @@ def smale_quotient(p: Poly, z: Scalar, w: Scalar) -> float:
 
 class _QuotientKernel:
     """Everything the quotients of one polynomial need, hoisted out of the
-    per-point loop.
+    per-point loop; built once per polynomial, by ``_kernel`` only.
 
     ``scan`` performs the float operations of ``evaluate`` on P',
     ``smale_quotient`` and ``divided_difference`` in the same order, so its
     values agree with them bit for bit.
     """
 
-    __slots__ = ("criticals", "_dp_rev", "_critical_scale", "_dp_degree", "_coeffs")
+    __slots__ = ("dp", "criticals", "_critical_scale", "_coeffs")
 
     def __init__(self, p: Poly):
         if p.degree < 2:
             raise DomainError("mean value quantities need degree >= 2")
-        dp = _derivative_cached(p)
-        self._dp_rev = tuple(reversed(dp.coeffs))
-        self._critical_scale = CRITICAL_TOL * dp.coeff_scale
-        self._dp_degree = dp.degree
+        self.dp = derivative(p)
+        self._critical_scale = CRITICAL_TOL * self.dp.coeff_scale
         self._coeffs = p.coeffs[1:]
         # find_roots passes every root through evaluate, which rejects
         # non-finite values, so the critical points need no finiteness check
@@ -141,12 +134,9 @@ class _QuotientKernel:
     def derivative_abs(self, z: Scalar) -> float:
         """|P'(z)|; DomainError for non-finite z, PreconditionError at a
         critical point of P."""
-        z = require_finite(z, "evaluation point")
-        acc = 0.0 + 0.0j
-        for c in self._dp_rev:
-            acc = acc * z + c
-        dabs = abs(acc)
-        if dabs <= self._critical_scale * max(1.0, abs(z)) ** self._dp_degree:
+        z = complex(z)
+        dabs = abs(evaluate(self.dp, z))
+        if dabs <= self._critical_scale * max(1.0, abs(z)) ** self.dp.degree:
             raise PreconditionError(f"z = {z!r} is a critical point of p")
         return dabs
 
@@ -178,9 +168,12 @@ class _QuotientKernel:
         return QuotientWitness(self.criticals[i], q, q * (1.0 / dabs))
 
 
+_kernel = lru_cache(maxsize=2048)(_QuotientKernel)
+
+
 def _witnesses(p: Poly, z: Scalar) -> list[QuotientWitness]:
     """Quotient and ratio for every distinct critical point, in root order."""
-    kernel = _QuotientKernel(p)
+    kernel = _kernel(p)
     dabs, qs = kernel.scan(z)
     inv = 1.0 / dabs
     return [QuotientWitness(w, q, q * inv) for w, q in zip(kernel.criticals, qs)]
@@ -215,11 +208,9 @@ def quotients_at_zero(coeffs, points) -> list[float]:
 
 
 def _normalized_witnesses(p: Poly) -> list[QuotientWitness]:
-    if p.degree < 2:
-        raise DomainError("normalized quantities need degree >= 2")
+    criticals = _kernel(p).criticals
     if not is_normalized(p):
         raise PreconditionError("p must satisfy p(0) = 0 and p'(0) = 1")
-    criticals = cached_critical_points(p).roots
     for w in criticals:
         if abs(w) <= COINCIDENCE_TOL:
             raise PreconditionError(f"critical point {w!r} coincides with 0")
@@ -247,10 +238,10 @@ def _sampling_radius(p: Poly) -> float:
 
 def sample_points(p: Poly, sampler: SampleConfig) -> list[complex]:
     """Deterministic admissible sample points for the estimate operations."""
-    criticals = cached_critical_points(p).roots
+    kernel = _kernel(p)
+    criticals, dp = kernel.criticals, kernel.dp
     radius = _sampling_radius(p)
     stream = Stream(sampler.seed, _STREAM_SAMPLES)
-    dp = _derivative_cached(p)
     floor = 10.0 * CRITICAL_TOL * dp.coeff_scale
     pts: list[complex] = []
     for _ in range(sampler.n_samples):
@@ -315,8 +306,9 @@ def higher_order_quantity(p: Poly, z: Scalar, w: Scalar, k: int) -> float:
     n = p.degree
     if not 2 <= k <= n:
         raise DomainError(f"order k must satisfy 2 <= k <= {n}, got {k}")
-    dabs = _QuotientKernel(p).derivative_abs(z)
-    dp = derivative(p)
+    kernel = _kernel(p)
+    dabs = kernel.derivative_abs(z)
+    dp = kernel.dp
     wval = abs(evaluate(dp, w))
     if wval > 1e-6 * dp.coeff_scale * max(1.0, abs(w)) ** dp.degree:
         raise PreconditionError(f"w = {w!r} is not a critical point of p")
@@ -359,11 +351,8 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
     the witnesses needed to chase such a failure down.
     """
     n = p.degree
-    if n < 2:
-        raise DomainError("bound_report needs degree >= 2")
-
     pts = sample_points(p, sampler)
-    kernel = _QuotientKernel(p)
+    kernel = _kernel(p)
     s_scored = []
     ds_scored = []
     high_max: dict[int, float] = {k: 0.0 for k in range(2, n + 1)}
@@ -400,8 +389,9 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
 
     s0_val = ds0_val = None
     if is_normalized(p):
-        s0_val = s0(p).ratio
-        ds0_val = ds0(p).ratio
+        wits = _normalized_witnesses(p)
+        s0_val = min(wits, key=lambda wit: wit.quotient).ratio
+        ds0_val = max(wits, key=lambda wit: wit.quotient).ratio
         checks.append(_lower("ng_zhang_ds0", 4.0 ** (-n), ds0_val))
         for name, b in s_upper_bounds(n):
             checks.append(_upper(f"{name}_s0", b, s0_val))

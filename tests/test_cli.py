@@ -232,21 +232,40 @@ class TestContract:
         assert cli.run(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["s0", "ds0"])
-    @pytest.mark.parametrize("flag,value", [
-        ("--step-tol", "1e-6"),
-        ("--max-iters", "1"),
-        ("--cluster-tol", "0.1"),
-        ("--jobs", "4"),
+    @pytest.mark.parametrize("flag,value,mode", [
+        *((flag, value, mode) for flag, value in [
+            ("--step-tol", "1e-6"),
+            ("--max-iters", "1"),
+            ("--cluster-tol", "0.1"),
+            ("--jobs", "4"),
+            ("--dim", "5"),
+            ("--trials", "7"),
+        ] for mode in ("ds0", "s0")),
+        ("--restarts", "99", "cstar"),
     ])
-    def test_extremal_search_rejects_hunt_knobs(self, mode, flag, value, capsys):
-        # the extremal searches never run the hunt, so a knob there would
-        # be silently ignored
+    def test_extremal_search_rejects_hunt_knobs(self, flag, value, mode, capsys):
+        # the extremal searches never run the hunt and the hunt never
+        # restarts, so a flag the mode does not read would be silently
+        # ignored
         from smale_lab import cli
 
-        argv = ["search", "--mode", mode, "--degree", "3", "--restarts", "2", flag, value]
+        argv = ["search", "--mode", mode, "--degree", "3", flag, value]
+        if mode != "cstar":
+            argv += ["--restarts", "2"]  # a fast search if the flag were accepted
         assert cli.run(argv) == 1
-        assert flag in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --mode {mode} does not take {flag}\n"
+
+    def test_search_defaults_apply_where_read(self, tmp_path):
+        # unset, --restarts is SearchConfig's 64 for s0/ds0 and the hunt
+        # runs --dim 1 with --trials 1000
+        from smale_lab import cli
+
+        out = tmp_path / "r.json"
+        assert cli.run(["search", "--mode", "s0", "--degree", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["restarts"] == 64
+        assert cli.run(["search", "--mode", "cstar", "--degree", "2", "--out", str(out)]) == 0
+        body = json.loads(out.read_text())
+        assert (body["dim"], body["trials"]) == (1, 1000)
 
     @pytest.mark.parametrize("argv,flag", [
         (["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--samples", "0"], "--samples"),

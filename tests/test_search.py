@@ -168,6 +168,19 @@ class TestParametrization:
             _normalized_extremes(cs)
         assert str(direct.value) == str(chain.value)
 
+    @pytest.mark.parametrize(
+        "cs",
+        [[0j, 1.0 + 0.0j], [0j], [2.0 + 0.0j, -0.0 + 0.0j, -1j], [1e-200 + 0.0j, 1e-200j, 1e-200 + 0.0j]],
+        ids=["zero-first", "zero-only", "zero-middle", "underflow"],
+    )
+    def test_zero_product_is_a_domain_error(self, cs):
+        """P'(0) = 1 needs prod c_j != 0: a zero critical point, or a
+        product that underflows, is a DomainError and not a bare
+        ZeroDivisionError."""
+        for build in (poly_from_critical_points, _normalized_extremes):
+            with pytest.raises(DomainError, match="product is 0"):
+                build(cs)
+
     def test_param_decode(self):
         cs = critical_points_from_params([0.0, 0.0, math.log(2.0), math.pi / 2])
         assert cs[0] == pytest.approx(1.0)

@@ -397,9 +397,11 @@ class TestQuotientKernel:
                     at(CUBIC, w + 1e-14)
 
     def test_bound_report_cache_lookups_do_not_grow_with_refinement(self, monkeypatch):
-        # the kernel is built once per report, so no refinement step looks
-        # up the derivative or the critical points again
+        # the kernel is fetched from its cache a fixed number of times per
+        # report, so no refinement step looks up the kernel or the critical
+        # points again
         lookups = Counter()
+        kernel_cache = smale._kernel
 
         def spy(name, fn):
             def counted(*args):
@@ -409,7 +411,7 @@ class TestQuotientKernel:
             monkeypatch.setattr(smale, name, counted)
 
         spy("cached_critical_points", smale.cached_critical_points)
-        spy("_derivative_cached", smale._derivative_cached)
+        spy("_kernel", kernel_cache)
         scan = smale._QuotientKernel.scan
 
         def counted_scan(self, z):
@@ -420,6 +422,7 @@ class TestQuotientKernel:
         p = from_roots(random_roots(Stream(61), 5))
         counts = []
         for max_iter in (30, 120):
+            kernel_cache.cache_clear()  # each report builds the kernel afresh
             lookups.clear()
             bound_report(p, SampleConfig(n_samples=20, seed=4, refine_starts=2,
                                          refine_max_iter=max_iter))
@@ -427,6 +430,43 @@ class TestQuotientKernel:
         short, long = counts
         assert long.pop("scan") > short.pop("scan")
         assert short == long
+        assert short["cached_critical_points"] == 1
+
+    def test_kernel_built_once_per_polynomial(self, monkeypatch):
+        # every entry point reads P', its threshold and the critical points
+        # from one cached kernel, however many points it is asked about
+        built = []
+        init = smale._QuotientKernel.__init__
+
+        def counted_init(self, p):
+            built.append(p)
+            init(self, p)
+
+        monkeypatch.setattr(smale._QuotientKernel, "__init__", counted_init)
+        smale._kernel.cache_clear()
+        p = random_normalized_poly(4, Stream(7771))  # normalized: s0 and ds0 run too
+        pts = sample_points(p, SampleConfig(n_samples=50, seed=3))
+        assert len(pts) == 50
+        for z in pts:
+            s_at(p, z)
+            ds_at(p, z)
+        w = cached_critical_points(p).roots[0]
+        higher_order_quantity(p, pts[0], w, 3)
+        s0(p)
+        ds0(p)
+        rep = bound_report(p, FAST_SAMPLER)
+        assert rep.s0 is not None and rep.ds0 is not None
+        assert built == [p]
+
+    @pytest.mark.parametrize("z", [3, -2, 3.0, 0.25, 10**20, 2 + 0j])
+    def test_derivative_abs_is_evaluate_for_real_and_integer_points(self, z):
+        # the kernel runs polycore.evaluate on its own P', so a real or
+        # integer z gives the bits of the complex one
+        for p in (CUBIC, from_roots([1 + 2j, -1, 0.5j, 3])):
+            kernel = smale._kernel(p)
+            expected = abs(evaluate(derivative(p), complex(z)))
+            assert kernel.derivative_abs(z) == expected
+            assert kernel.derivative_abs(complex(z)) == expected
 
     @pytest.mark.parametrize("field,value", [
         ("n_samples", 0),
