@@ -17,15 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
-from .dynamics import (
-    VERDICT_CONVERGED,
-    OrbitConfig,
-    escape_test,
-    iterate_orbit,
-    petal_test,
-)
 from .errors import CapacityError, DomainError, PreconditionError
 from .polycore import (
     COINCIDENCE_TOL,
@@ -62,9 +55,6 @@ class CStarElement:
     def norm(self) -> float:
         return max(abs(c) for c in self.coords)
 
-    def star(self) -> "CStarElement":
-        return CStarElement(tuple(c.conjugate() for c in self.coords))
-
     def __add__(self, other: "CStarElement") -> "CStarElement":
         self._check_dim(other)
         return CStarElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -80,14 +70,6 @@ class CStarElement:
     def _check_dim(self, other: "CStarElement") -> None:
         if self.dim != other.dim:
             raise DomainError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    @staticmethod
-    def zero(k: int) -> "CStarElement":
-        return CStarElement((0.0 + 0.0j,) * k)
-
-    @staticmethod
-    def one(k: int) -> "CStarElement":
-        return CStarElement((1.0 + 0.0j,) * k)
 
     @staticmethod
     def from_json(obj, where: str = "element") -> "CStarElement":
@@ -169,19 +151,6 @@ class CStarVerdict:
     dual_pass: bool
     strong_smale_pass: bool | None = None
     strong_dual_pass: bool | None = None
-
-
-def cstar_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
-    """P(z): pointwise product of the linear factors."""
-    if z.dim != P.dim:
-        raise DomainError(f"dimension mismatch: poly {P.dim}, point {z.dim}")
-    out = []
-    for p, zt in zip(P.coordinate_polys, z.coords):
-        acc = 1.0 + 0.0j
-        for r in p.roots:
-            acc *= zt - r
-        out.append(acc)
-    return CStarElement(tuple(out))
 
 
 def cstar_derivative_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
@@ -375,76 +344,3 @@ def degree2_higher_order(a: CStarElement, b: CStarElement, z: CStarElement) -> f
     num = max(abs(d) for d in diffs)
     # P'' is the constant element 2, so ||P''(z)|| / 2! = 1
     return num / dval.norm() ** 2
-
-
-def is_cstar_normalized(P: CStarPoly) -> bool:
-    """P(0) = 0 and P'(0) = 1 within 1e-10 (the scalar orbit's tolerance)."""
-    zero = CStarElement.zero(P.dim)
-    if cstar_eval(P, zero).norm() > 1e-10:
-        return False
-    dval = cstar_derivative_eval(P, zero)
-    return (dval - CStarElement.one(P.dim)).norm() <= 1e-10
-
-
-@dataclass(frozen=True)
-class CStarOrbitRecord:
-    w: CStarElement
-    ratio: float
-    verdict: str
-    trajectory_len: int
-    final_norm: float
-
-
-@dataclass(frozen=True)
-class DynamicsReport:
-    degree: int
-    dim: int
-    records: tuple[CStarOrbitRecord, ...]
-    overall_pass: bool
-
-
-def cstar_dynamics_check(
-    P: CStarPoly, cfg: OrbitConfig = OrbitConfig()
-) -> DynamicsReport:
-    """Critical-orbit convergence check for a normalized algebra polynomial.
-
-    For each critical element w away from zero, records ||P(w)|| / ||w||
-    and iterates z -> P(z) pointwise; the overall flag asks for some w with
-    ratio <= 1 whose orbit converges to the zero element.  An element
-    converges when every coordinate lies in a proven petal of its own
-    coordinate polynomial (or is exactly 0), and escapes when any
-    coordinate passes that polynomial's escape radius; both tests read the
-    coefficients of ``coordinate_polys``.
-    """
-    if not is_cstar_normalized(P):
-        raise PreconditionError("P must satisfy P(0) = 0 and P'(0) = 1")
-
-    petals = [petal_test(p.coeffs) for p in P.coordinate_polys]
-    escapes = [escape_test(p.coeffs) for p in P.coordinate_polys]
-
-    def converged(x: CStarElement) -> bool:
-        return all(test(xt) for test, xt in zip(petals, x.coords))
-
-    def escaped(x: CStarElement) -> bool:
-        return any(test(xt) for test, xt in zip(escapes, x.coords))
-
-    crit = enumerate_critical_set(P)
-    records = []
-    overall = False
-    for w in crit.elements():
-        if w.norm() <= COINCIDENCE_TOL:
-            continue
-        pw = cstar_eval(P, w)
-        ratio = pw.norm() / w.norm()
-        verdict, steps, last = iterate_orbit(
-            partial(cstar_eval, P),
-            lambda x, y: (x - y).norm(),
-            w,
-            cfg,
-            converged,
-            escaped,
-        )
-        records.append(CStarOrbitRecord(w, ratio, verdict, steps, last.norm()))
-        if ratio <= 1.0 + CONJ_SLACK and verdict == VERDICT_CONVERGED:
-            overall = True
-    return DynamicsReport(P.degree, P.dim, tuple(records), overall)

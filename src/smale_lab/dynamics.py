@@ -109,7 +109,7 @@ def escape_test(coeffs: Sequence[complex]) -> Callable[[complex], bool]:
 
 
 def iterate_orbit(step, distance, x0, cfg: OrbitConfig, converged, escaped):
-    """Generic orbit loop shared by the scalar and algebra-valued checks.
+    """Generic orbit loop behind ``orbit``, taking the step map and the tests.
 
     Returns (verdict, steps, final point).  The proven predicates
     ``escaped`` and ``converged`` are tested at x0 and after every step; a

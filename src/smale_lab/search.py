@@ -267,9 +267,10 @@ def _hunt_trial(args):
         flags["cstar_strong_dual"] = not verdict.strong_dual_pass
     certs = []
     if any(flags.values()):
-        witnesses = [w.coords for w in crit.elements()]
         exact = exact_cstar_quotients(
-            [list(r.coords) for r in P.roots], list(z.coords), witnesses
+            [list(r.coords) for r in P.roots],
+            list(z.coords),
+            [rs.roots for rs in crit.per_coordinate],
         )
         confirmations = {
             "cstar_sharp": exact.sharp_violated,

@@ -132,11 +132,15 @@ class _QuotientKernel:
         self.criticals = cached_critical_points(p).roots
 
     def derivative_abs(self, z: Scalar) -> float:
-        """|P'(z)|; DomainError for non-finite z, PreconditionError at a
-        critical point of P."""
+        """|P'(z)|; DomainError for a non-finite z or an overflowing
+        |z|^degree, PreconditionError at a critical point of P."""
         z = complex(z)
         dabs = abs(evaluate(self.dp, z))
-        if dabs <= self._critical_scale * max(1.0, abs(z)) ** self.dp.degree:
+        try:
+            zpow = max(1.0, abs(z)) ** self.dp.degree
+        except OverflowError:
+            raise DomainError(f"|z|^{self.dp.degree} overflows at z = {z!r}") from None
+        if dabs <= self._critical_scale * zpow:
             raise PreconditionError(f"z = {z!r} is a critical point of p")
         return dabs
 

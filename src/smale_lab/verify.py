@@ -9,12 +9,17 @@ themselves remain approximate (they come from the root finder); their
 residuals are recorded on the certificate, and the tightened tolerance
 absorbs their effect.
 
+Over C^k the witness set is a product of per-coordinate critical points,
+and the re-check builds its exact rows once per coordinate.
+
 A candidate is promoted to a certificate only when this exact computation
 still sees a violation at half the float slack.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,78 +91,61 @@ class ExactQuotients:
 def exact_cstar_quotients(
     root_coords: list[list[complex]],
     z_coords: list[complex],
-    witnesses: list[tuple[complex, ...]],
+    pools: list[Sequence[complex]],
 ) -> ExactQuotients:
     """Re-decide the quotient inequalities in exact rational arithmetic.
 
-    root_coords is indexed [root][coordinate]; witnesses are the critical
-    elements found by the float pipeline, used verbatim.
+    root_coords is indexed [root][coordinate]; pools[t] holds the critical
+    points of coordinate t found by the float pipeline, used verbatim, and
+    the witness set is the product of the pools.  As in cstar._check, every
+    per-element term depends on one coordinate, so coordinate t gets one
+    exact row (|P_t(z_t) - P_t(w_t)|^2, |z_t - w_t|^2) per critical point
+    w_t, and a strong form holds for some element exactly when every
+    coordinate has a row that satisfies it.
     """
-    if not witnesses:
-        raise PreconditionError("exact re-check needs at least one witness")
+    if len(pools) != len(z_coords) or not all(pools):
+        raise PreconditionError("exact re-check needs one non-empty pool per coordinate")
     n = len(root_coords)
-    k = len(z_coords)
-    roots = [[XC.of(c) for c in r] for r in root_coords]
-    zs = [XC.of(c) for c in z_coords]
-
-    pz = []
-    dz = []
-    dp2 = Fraction(0)
-    for t in range(k):
-        factors = [zs[t] - roots[i][t] for i in range(n)]
-        pz.append(_product(factors))
-        dz.append(_derivative_sum(factors))
-        d2 = dz[t].abs2()
-        if d2 > dp2:
-            dp2 = d2
-
-    sharp_target2 = (Fraction(n - 1, n) + TIGHT_SLACK) ** 2
-    dual_target2 = (Fraction(1, n) - TIGHT_SLACK) ** 2
     sharp_fac2 = Fraction((n - 1) ** 2, n ** 2)
     dual_fac2 = Fraction(1, n ** 2)
 
-    min_ratio2: Fraction | None = None
-    max_ratio2: Fraction | None = None
-    some_strong_smale = False
-    some_strong_dual = False
-    for w in witnesses:
-        ws = [XC.of(c) for c in w]
-        num2 = Fraction(0)
-        dist2 = Fraction(0)
-        smale_ok = True
-        dual_ok = True
-        for t in range(k):
-            factors = [ws[t] - roots[i][t] for i in range(n)]
-            diff = pz[t] - _product(factors)
-            d2 = diff.abs2()
-            gap2 = (zs[t] - ws[t]).abs2()
-            if d2 > num2:
-                num2 = d2
-            if gap2 > dist2:
-                dist2 = gap2
-            rhs = gap2 * dz[t].abs2()
+    dp2 = Fraction(0)
+    tables = []
+    strong_smale = strong_dual = True
+    for t, (zt, pool) in enumerate(zip(z_coords, pools)):
+        roots = [XC.of(r[t]) for r in root_coords]
+        xz = XC.of(zt)
+        factors = [xz - a for a in roots]
+        pz = _product(factors)
+        dz2 = _derivative_sum(factors).abs2()
+        dp2 = max(dp2, dz2)
+        rows = []
+        smale_t = dual_t = False
+        for w in pool:
+            xw = XC.of(w)
+            d2 = (pz - _product([xw - a for a in roots])).abs2()
+            gap2 = (xz - xw).abs2()
+            rows.append((d2, gap2))
+            rhs = gap2 * dz2
             slack = TIGHT_SLACK * max(Fraction(1), d2, rhs)
-            if d2 > sharp_fac2 * rhs + slack:
-                smale_ok = False
-            if dual_fac2 * rhs > d2 + slack:
-                dual_ok = False
-        if smale_ok:
-            some_strong_smale = True
-        if dual_ok:
-            some_strong_dual = True
-        ratio2 = num2 / (dist2 * dp2)
-        if min_ratio2 is None or ratio2 < min_ratio2:
-            min_ratio2 = ratio2
-        if max_ratio2 is None or ratio2 > max_ratio2:
-            max_ratio2 = ratio2
+            smale_t = smale_t or not d2 > sharp_fac2 * rhs + slack
+            dual_t = dual_t or not dual_fac2 * rhs > d2 + slack
+        tables.append(rows)
+        strong_smale = strong_smale and smale_t
+        strong_dual = strong_dual and dual_t
 
+    ratios = [
+        max(row[0] for row in rows) / (max(row[1] for row in rows) * dp2)
+        for rows in itertools.product(*tables)
+    ]
+    min_ratio2, max_ratio2 = min(ratios), max(ratios)
     return ExactQuotients(
         min_ratio2=min_ratio2,
         max_ratio2=max_ratio2,
-        sharp_violated=min_ratio2 > sharp_target2,
-        dual_violated=max_ratio2 < dual_target2,
-        strong_smale_violated=not some_strong_smale,
-        strong_dual_violated=not some_strong_dual,
+        sharp_violated=min_ratio2 > (Fraction(n - 1, n) + TIGHT_SLACK) ** 2,
+        dual_violated=max_ratio2 < (Fraction(1, n) - TIGHT_SLACK) ** 2,
+        strong_smale_violated=not strong_smale,
+        strong_dual_violated=not strong_dual,
     )
 
 

@@ -390,6 +390,13 @@ class TestQuotientKernel:
             with pytest.raises(DomainError):
                 at(CUBIC, z)
 
+    @pytest.mark.parametrize("at", [s_at, ds_at])
+    def test_overflowing_point_is_domain_error(self, at):
+        # |z|^2 overflows in the critical-point scale of z - z^3/3, which
+        # raised a bare OverflowError before
+        with pytest.raises(DomainError, match="overflows"):
+            at(from_coeffs([0, 1, 0, -1 / 3]), 1e300)
+
     def test_coincident_point_is_precondition_error(self):
         for w in cached_critical_points(CUBIC).roots:
             for at in (s_at, ds_at, reference_extremes):

@@ -1,15 +1,83 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from smale_lab import verify
+from smale_lab.cstar import CStarElement, CStarPoly, enumerate_critical_set
 from smale_lab.errors import DomainError, PreconditionError
+from smale_lab.rng import Stream
 from smale_lab.verify import (
     Certificate,
     XC,
     confirm_normalized,
+    ExactQuotients,
+    TIGHT_SLACK,
     exact_cstar_quotients,
     exact_normalized_ratios,
 )
+
+
+def _xprod(factors):
+    acc = XC(Fraction(1), Fraction(0))
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
+def elementwise_exact(root_coords, z_coords, pools):
+    """The exact re-check element by element: every term is recomputed
+    with XC for each element of the product of the pools."""
+    n = len(root_coords)
+    k = len(z_coords)
+    roots = [[XC.of(c) for c in r] for r in root_coords]
+    zs = [XC.of(c) for c in z_coords]
+    pz, dz2 = [], []
+    for t in range(k):
+        factors = [zs[t] - roots[i][t] for i in range(n)]
+        pz.append(_xprod(factors))
+        deriv = XC(Fraction(0), Fraction(0))
+        for j in range(n):
+            deriv = deriv + _xprod(factors[:j] + factors[j + 1:])
+        dz2.append(deriv.abs2())
+    dp2 = max(dz2)
+    sharp_fac2 = Fraction((n - 1) ** 2, n ** 2)
+    dual_fac2 = Fraction(1, n ** 2)
+    ratios = []
+    some_smale = some_dual = False
+    for w in itertools.product(*pools):
+        ws = [XC.of(c) for c in w]
+        num2 = dist2 = Fraction(0)
+        smale_ok = dual_ok = True
+        for t in range(k):
+            d2 = (pz[t] - _xprod([ws[t] - roots[i][t] for i in range(n)])).abs2()
+            gap2 = (zs[t] - ws[t]).abs2()
+            num2, dist2 = max(num2, d2), max(dist2, gap2)
+            rhs = gap2 * dz2[t]
+            slack = TIGHT_SLACK * max(Fraction(1), d2, rhs)
+            smale_ok = smale_ok and not d2 > sharp_fac2 * rhs + slack
+            dual_ok = dual_ok and not dual_fac2 * rhs > d2 + slack
+        some_smale = some_smale or smale_ok
+        some_dual = some_dual or dual_ok
+        ratios.append(num2 / (dist2 * dp2))
+    lo, hi = min(ratios), max(ratios)
+    return ExactQuotients(
+        min_ratio2=lo,
+        max_ratio2=hi,
+        sharp_violated=lo > (Fraction(n - 1, n) + TIGHT_SLACK) ** 2,
+        dual_violated=hi < (Fraction(1, n) - TIGHT_SLACK) ** 2,
+        strong_smale_violated=not some_smale,
+        strong_dual_violated=not some_dual,
+    )
+
+
+def _draw(st_, n, k):
+    """(root_coords, z_coords, critical pools) of a seeded C^k instance."""
+    roots = [[st_.complex_in_disk(2.0) for _ in range(k)] for _ in range(n)]
+    z = [st_.complex_in_disk(3.0) for _ in range(k)]
+    P = CStarPoly(tuple(CStarElement(tuple(r)) for r in roots))
+    pools = [list(rs.roots) for rs in enumerate_critical_set(P).per_coordinate]
+    return roots, z, pools
 
 
 class TestExactComplex:
@@ -34,7 +102,7 @@ class TestExactQuotients:
         b = [0.25 - 0.75j, 0.5 + 1.25j]
         z = [2.0 + 1.5j, -1.25 + 0.5j]
         c = [(x + y) / 2 for x, y in zip(a, b)]
-        res = exact_cstar_quotients([a, b], z, [tuple(c)])
+        res = exact_cstar_quotients([a, b], z, [[ct] for ct in c])
         assert res.min_ratio2 == Fraction(1, 4)
         assert res.max_ratio2 == Fraction(1, 4)
         assert not res.sharp_violated
@@ -48,7 +116,7 @@ class TestExactQuotients:
         a = [0.0 + 0.0j]
         b = [2.0 + 0.0j]
         z = [5.0 + 0.0j]
-        fake = [(100.0 + 0.0j,)]
+        fake = [[100.0 + 0.0j]]
         res = exact_cstar_quotients([a, b], z, fake)
         assert res.sharp_violated
         assert res.strong_smale_violated
@@ -58,7 +126,7 @@ class TestExactQuotients:
         a = [0.0 + 0.0j]
         b = [2.0 + 0.0j]
         z = [1.0 + 1e-6j]  # near the midpoint: P(z) - P(c) tiny
-        res = exact_cstar_quotients([a, b], z, [(1.0 + 0.0j,)])
+        res = exact_cstar_quotients([a, b], z, [[1.0 + 0.0j]])
         # |P(z)-P(c)|/|z-c| = |z-c| = 1e-6, |P'(z)| = 2e-6: ratio 1/2 exactly
         assert res.min_ratio2 == Fraction(1, 4)
         assert not res.dual_violated
@@ -69,9 +137,62 @@ class TestExactQuotients:
         a = [0.0 + 0.0j]
         b = [2.0 + 0.0j]
         z = [5.0 + 0.0j]
-        res = exact_cstar_quotients([a, b], z, [(1.0 + 0.0j,), (-1.0 + 0.0j,)])
+        res = exact_cstar_quotients([a, b], z, [[1.0 + 0.0j, -1.0 + 0.0j]])
         assert res.min_ratio2 == Fraction(1, 16)
         assert res.max_ratio2 == Fraction(1, 4)
+
+    def test_planted_witness_in_one_coordinate_flips_strong_smale(self):
+        # (z - a)(z - b) in each of two coordinates; at the midpoints both
+        # strong forms hold with equality.  P(z) - P(w) = (z - w)(z + w - 2)
+        # in coordinate 0, so the far-off w = 100 there gives a squared
+        # ratio (103 / 8)^2 far above (1/2)^2 in that coordinate alone
+        a = [0.0 + 0.0j, 0.5 + 0.25j]
+        b = [2.0 + 0.0j, -1.5 + 0.75j]
+        z = [5.0 + 0.0j, 2.0 - 1.0j]
+        mid = [[(x + y) / 2] for x, y in zip(a, b)]
+        assert not exact_cstar_quotients([a, b], z, mid).strong_smale_violated
+        for t in range(2):
+            pools = [list(pool) for pool in mid]
+            pools[t] = [mid[t][0] + 99.0]
+            res = exact_cstar_quotients([a, b], z, pools)
+            assert res.strong_smale_violated
+            assert not res.strong_dual_violated
+            assert res == elementwise_exact([a, b], z, pools)
+
+    def test_matches_elementwise_oracle(self):
+        # exact rationals do not depend on the order of evaluation, so the
+        # per-coordinate rows give == what the element-wise loop gives; the
+        # planted pools (the critical points moved by up to 3) make the
+        # strong flags come out True as well as False
+        stream = Stream(411)
+        flags = set()
+        for n, k in ((2, 4), (3, 2), (4, 3), (5, 2)):
+            for trial in range(4):
+                st_ = stream.derive(n).derive(k).derive(trial)
+                roots, z, pools = _draw(st_, n, k)
+                planted = [[w + st_.complex_in_disk(3.0) for w in pool] for pool in pools]
+                for witnesses in (pools, planted):
+                    got = exact_cstar_quotients(roots, z, witnesses)
+                    assert got == elementwise_exact(roots, z, witnesses)
+                    flags.add((got.strong_smale_violated, got.strong_dual_violated))
+        assert {f[0] for f in flags} == {True, False}
+        assert {f[1] for f in flags} == {True, False}
+
+    def test_exact_rows_built_once_per_coordinate(self, monkeypatch):
+        # one product per coordinate for P_t(z_t) and one per critical point:
+        # k * n in all, where the element-wise loop needs 3^6 * 6 + 6
+        calls = []
+        product = verify._product
+
+        def counting(factors):
+            calls.append(len(factors))
+            return product(factors)
+
+        monkeypatch.setattr(verify, "_product", counting)
+        roots, z, pools = _draw(Stream(412), 4, 6)
+        assert [len(pool) for pool in pools] == [3] * 6
+        exact_cstar_quotients(roots, z, pools)
+        assert len(calls) <= 6 * 4
 
 
 class TestExactNormalizedRatios:
@@ -94,6 +215,8 @@ class TestExactNormalizedRatios:
             exact_normalized_ratios([0j, 1 + 0j, -0.5 + 0j], [])
         with pytest.raises(PreconditionError):
             exact_cstar_quotients([[1 + 0j], [-1 + 0j]], [2 + 0j], [])
+        with pytest.raises(PreconditionError):
+            exact_cstar_quotients([[1 + 0j], [-1 + 0j]], [2 + 0j], [[]])
 
 
 class TestConfirmNormalized:
