@@ -126,16 +126,11 @@ class CStarPoly:
 
 @dataclass(frozen=True)
 class CriticalSet:
-    """Per-coordinate critical points plus the (lazy) product structure."""
+    """Per-coordinate critical points; the critical set is the product of
+    the coordinates' pools, ``product_size`` elements in all."""
 
     per_coordinate: tuple[RootSet, ...]
     product_size: int
-
-    def elements(self):
-        """Iterate the full critical set as algebra elements, lazily."""
-        pools = [rs.roots for rs in self.per_coordinate]
-        for combo in itertools.product(*pools):
-            yield CStarElement(combo)
 
 
 @dataclass(frozen=True)

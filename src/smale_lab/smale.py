@@ -13,8 +13,10 @@ quantities:
 Sampling estimates are one-sided by construction and reported as such.
 Each polynomial has one cached kernel (``_kernel``) holding P', its critical
 threshold and its critical points, which every entry point reads; it scans
-all critical points at a point z in a single pass.  The normalized
-quantities at z = 0, which the extremal search shares, use
+all critical points at a point z in a single pass.  The kernel keeps its
+last scan, so ``s_at`` and ``ds_at`` at the same z object share one scan;
+the key is the object's identity, because ``==`` would merge 0j and -0j.
+The normalized quantities at z = 0, which the extremal search shares, use
 ``quotients_at_zero``.
 """
 
@@ -47,6 +49,9 @@ CONJ_SLACK = 1e-9
 SAMPLER_MARGIN = 1e-3
 
 _STREAM_SAMPLES = 11
+
+# the key of a kernel's memo before its first scan; no caller passes it
+_NO_POINT = object()
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,17 @@ class _QuotientKernel:
     ``scan`` performs the float operations of ``evaluate`` on P',
     ``smale_quotient`` and ``divided_difference`` in the same order, so its
     values agree with them bit for bit.
+
+    ``scan`` keeps its last result in ``_last`` as (z, result), so ``s_at``
+    and ``ds_at`` at one point share a scan.  The key is the caller's z
+    object, not its value: 0j == -0j although their bits differ, and
+    ``complex(z)`` makes a new object for a float or int z.  A scan that
+    raises stores nothing, and the quotients are a tuple, so no caller can
+    change the stored result.  ``_last`` is replaced in one attribute
+    store, so a reader never sees a z paired with another z's result.
     """
 
-    __slots__ = ("dp", "criticals", "_critical_scale", "_coeffs")
+    __slots__ = ("dp", "criticals", "_critical_scale", "_coeffs", "_last")
 
     def __init__(self, p: Poly):
         if p.degree < 2:
@@ -130,6 +143,7 @@ class _QuotientKernel:
         # find_roots passes every root through evaluate, which rejects
         # non-finite values, so the critical points need no finiteness check
         self.criticals = cached_critical_points(p).roots
+        self._last = (_NO_POINT, None)
 
     def derivative_abs(self, z: Scalar) -> float:
         """|P'(z)|; DomainError for a non-finite z or an overflowing
@@ -144,27 +158,34 @@ class _QuotientKernel:
             raise PreconditionError(f"z = {z!r} is a critical point of p")
         return dabs
 
-    def scan(self, z: Scalar) -> tuple[float, list[float]]:
+    def scan(self, z: Scalar) -> tuple[float, tuple[float, ...]]:
         """|P'(z)| and the quotient at every critical point, in root order."""
+        last = self._last
+        if last[0] is z:
+            return last[1]
         dabs = self.derivative_abs(z)
-        z = complex(z)
-        zscale = max(1.0, abs(z))
+        c = complex(z)
+        cscale = max(1.0, abs(c))
         coeffs = self._coeffs
         quotients = []
         for w in self.criticals:
-            if abs(z - w) <= COINCIDENCE_TOL * max(zscale, abs(w)):
-                raise PreconditionError(f"points coincide: z = {z!r}, w = {w!r}")
+            if abs(c - w) <= COINCIDENCE_TOL * max(cscale, abs(w)):
+                raise PreconditionError(f"points coincide: z = {c!r}, w = {w!r}")
             acc = 0.0 + 0.0j
             h = 1.0 + 0.0j
             wp = 1.0 + 0.0j
             for a in coeffs:
                 acc += a * h
                 wp *= w
-                h = z * h + wp
+                h = c * h + wp
             quotients.append(abs(acc))
-        return dabs, quotients
+        result = (dabs, tuple(quotients))
+        self._last = (z, result)
+        return result
 
-    def extreme(self, dabs: float, quotients: list[float], smallest: bool) -> QuotientWitness:
+    def extreme(
+        self, dabs: float, quotients: tuple[float, ...], smallest: bool
+    ) -> QuotientWitness:
         """Witness with the smallest (or largest) of the quotients ``scan``
         returned with ``dabs``; ties go to the first in root order."""
         i = (min if smallest else max)(range(len(quotients)), key=quotients.__getitem__)
@@ -175,22 +196,21 @@ class _QuotientKernel:
 _kernel = lru_cache(maxsize=2048)(_QuotientKernel)
 
 
-def _witnesses(p: Poly, z: Scalar) -> list[QuotientWitness]:
-    """Quotient and ratio for every distinct critical point, in root order."""
+# perfbench/tracer.py wraps s_at, ds_at and this helper by name
+def _witnesses(p: Poly, z: Scalar, smallest: bool) -> QuotientWitness:
+    """Witness with the smallest (or largest) quotient at z."""
     kernel = _kernel(p)
-    dabs, qs = kernel.scan(z)
-    inv = 1.0 / dabs
-    return [QuotientWitness(w, q, q * inv) for w, q in zip(kernel.criticals, qs)]
+    return kernel.extreme(*kernel.scan(z), smallest)
 
 
 def s_at(p: Poly, z: Scalar) -> QuotientWitness:
     """Witness minimizing the quotient; ties go to the first in root order."""
-    return min(_witnesses(p, z), key=lambda wit: wit.quotient)
+    return _witnesses(p, z, True)
 
 
 def ds_at(p: Poly, z: Scalar) -> QuotientWitness:
     """Witness maximizing the quotient; ties go to the first in root order."""
-    return max(_witnesses(p, z), key=lambda wit: wit.quotient)
+    return _witnesses(p, z, False)
 
 
 def quotients_at_zero(coeffs, points) -> list[float]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -20,6 +21,12 @@ from smale_lab.smale import ds_at, s_at
 
 def rand_element(st_: Stream, k: int, radius: float = 4.0) -> CStarElement:
     return CStarElement(tuple(st_.complex_in_disk(radius) for _ in range(k)))
+
+
+def critical_elements(crit) -> list[CStarElement]:
+    """Every element of the critical product, in itertools.product order."""
+    pools = [rs.roots for rs in crit.per_coordinate]
+    return [CStarElement(combo) for combo in itertools.product(*pools)]
 
 
 def pointwise_value(P: CStarPoly, z: CStarElement) -> tuple[complex, ...]:
@@ -97,8 +104,8 @@ class TestCriticalSet:
         stream = Stream(91)
         a, b = rand_element(stream, 4, 2.0), rand_element(stream, 4, 2.0)
         crit = enumerate_critical_set(CStarPoly((a, b)))
-        assert crit.product_size == 1
-        (w,) = list(crit.elements())
+        assert crit.product_size == math.prod(len(rs.roots) for rs in crit.per_coordinate) == 1
+        (w,) = critical_elements(crit)
         for t in range(4):
             assert abs(w.coords[t] - (a.coords[t] + b.coords[t]) / 2) <= 1e-10
 
@@ -106,8 +113,8 @@ class TestCriticalSet:
         stream = Stream(92)
         roots = tuple(rand_element(stream, 2, 2.0) for _ in range(3))
         crit = enumerate_critical_set(CStarPoly(roots))
-        assert crit.product_size == 4
-        assert sum(1 for _ in crit.elements()) == 4
+        assert crit.product_size == math.prod(len(rs.roots) for rs in crit.per_coordinate) == 4
+        assert len(critical_elements(crit)) == 4
 
     def test_k1_classical_count(self):
         stream = Stream(93)
@@ -146,7 +153,7 @@ def _elementwise_check(P, z):
 
     strong_smale = strong_dual = False
     min_ratio, max_ratio, best_w = math.inf, -math.inf, None
-    for w in enumerate_critical_set(P).elements():
+    for w in critical_elements(enumerate_critical_set(P)):
         dist = max(abs(a - b) for a, b in zip(z.coords, w.coords))
         assert dist > COINCIDENCE_TOL * max(point_scale, w.norm())
         diffs = []
@@ -236,7 +243,7 @@ class TestCheckSmale:
                     dnorm = cstar_derivative_eval(P, z).norm()
                     ratios = [
                         quotient_norm(P, z, w) / dnorm
-                        for w in enumerate_critical_set(P).elements()
+                        for w in critical_elements(enumerate_critical_set(P))
                     ]
                     assert v.min_ratio == pytest.approx(min(ratios), rel=1e-9)
                     assert v.max_ratio == pytest.approx(max(ratios), rel=1e-9)
@@ -255,7 +262,7 @@ class TestCheckSmale:
         def ratio(w):
             return quotient_norm(P, z, w) / dval
 
-        full_min = min(ratio(w) for w in crit.elements())
+        full_min = min(ratio(w) for w in critical_elements(crit))
         # coordinate-greedy subset: pick per-coordinate best independently
         greedy = []
         for t in range(3):

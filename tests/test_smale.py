@@ -403,6 +403,61 @@ class TestQuotientKernel:
                 with pytest.raises(PreconditionError):
                     at(CUBIC, w + 1e-14)
 
+    def test_memo_serves_only_its_own_point(self):
+        # s_at at z1 leaves z1's scan in the kernel; ds_at at z2 must not read it
+        z1, z2 = complex(0.3, 0.7), complex(-0.4, 0.2)
+        for p in (CUBIC, from_roots(random_roots(Stream(62), 5))):
+            s_at(p, z1)
+            wit = ds_at(p, z2)
+            assert [(wit.w, wit.quotient, wit.ratio)] == reference_extremes(p, z2)[1:]
+
+    def test_memo_is_per_polynomial(self):
+        z = complex(0.3, 0.7)
+        other = from_roots(random_roots(Stream(63), 4))
+        for p in (CUBIC, other, CUBIC):
+            got = [(wit.w, wit.quotient, wit.ratio) for wit in (s_at(p, z), ds_at(p, z))]
+            assert got == reference_extremes(p, z)
+
+    def test_memo_never_keeps_a_failed_scan(self):
+        good = complex(0.3, 0.7)
+        s_at(CUBIC, good)
+        z = cached_critical_points(CUBIC).roots[0] + 1e-14
+        for at in (s_at, ds_at, s_at):
+            with pytest.raises(PreconditionError):
+                at(CUBIC, z)
+        for z in (good, complex(-0.4, 0.2)):
+            got = [(wit.w, wit.quotient, wit.ratio) for wit in (s_at(CUBIC, z), ds_at(CUBIC, z))]
+            assert got == reference_extremes(CUBIC, z)
+
+    def test_memo_answers_the_same_in_either_order(self):
+        p = from_roots(random_roots(Stream(64), 6))
+        for z in sample_points(p, SampleConfig(n_samples=20, seed=5)):
+            smale._kernel.cache_clear()
+            forward = (s_at(p, z), ds_at(p, z))
+            smale._kernel.cache_clear()
+            backward = (ds_at(p, z), s_at(p, z))
+            assert forward == backward[::-1]
+            assert [(wit.w, wit.quotient, wit.ratio) for wit in forward] == reference_extremes(p, z)
+
+    def test_s_at_and_ds_at_at_one_point_share_one_scan(self, monkeypatch):
+        calls = []
+        derivative_abs = smale._QuotientKernel.derivative_abs
+
+        def counted(self, z):
+            calls.append(z)
+            return derivative_abs(self, z)
+
+        monkeypatch.setattr(smale._QuotientKernel, "derivative_abs", counted)
+        p = from_roots(random_roots(Stream(65), 5))
+        for z in sample_points(p, SampleConfig(n_samples=10, seed=6)):
+            calls.clear()
+            s_at(p, z)
+            ds_at(p, z)
+            assert calls == [z]
+            # the stored quotients are immutable, so no caller can change them
+            assert isinstance(smale._kernel(p).scan(z)[1], tuple)
+            assert calls == [z]
+
     def test_bound_report_cache_lookups_do_not_grow_with_refinement(self, monkeypatch):
         # the kernel is fetched from its cache a fixed number of times per
         # report, so no refinement step looks up the kernel or the critical
