@@ -4,7 +4,6 @@ a finite sup-norm model of a commutative function algebra."""
 __version__ = "0.1.0"
 
 from .errors import (
-    CapacityError,
     DomainError,
     PreconditionError,
     RootFindError,
@@ -18,7 +17,6 @@ from .dynamics import OrbitConfig, mlp_check
 from .search import SearchConfig, search_extremal_s0
 
 __all__ = [
-    "CapacityError",
     "CStarElement",
     "CStarPoly",
     "DomainError",

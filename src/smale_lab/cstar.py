@@ -8,18 +8,18 @@ counterexample found here embeds into the general commutative case.
 Polynomials over the model are monic products of linear factors with
 algebra-element roots.  A point w is critical when the derivative is the
 zero element, i.e. vanishes in every coordinate; the critical set is a
-Cartesian product of per-coordinate scalar critical points and is
-enumerated exhaustively (lazily) rather than searched.
+Cartesian product of per-coordinate scalar critical points, and the
+quotient extremes over all of it come from per-coordinate tables
+(``product_extremes``) without visiting the product.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapacityError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .polycore import (
     COINCIDENCE_TOL,
     CRITICAL_TOL,
@@ -31,8 +31,6 @@ from .polycore import (
 )
 from .rootfind import RootFindConfig, RootSet, critical_points
 from .smale import CONJ_SLACK
-
-DEFAULT_PRODUCT_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,6 @@ class CStarElement:
 
     def norm(self) -> float:
         return max(abs(c) for c in self.coords)
-
-    def __add__(self, other: "CStarElement") -> "CStarElement":
-        self._check_dim(other)
-        return CStarElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "CStarElement") -> "CStarElement":
-        self._check_dim(other)
-        return CStarElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, other: "CStarElement") -> "CStarElement":
-        self._check_dim(other)
-        return CStarElement(tuple(a * b for a, b in zip(self.coords, other.coords)))
 
     def _check_dim(self, other: "CStarElement") -> None:
         if self.dim != other.dim:
@@ -138,7 +124,6 @@ class CStarVerdict:
     """Outcome of the quotient checks at one sample point."""
 
     z: CStarElement
-    best_witness: CStarElement
     min_ratio: float
     max_ratio: float
     weak_pass: bool
@@ -188,17 +173,10 @@ def enumerate_critical_set(
 
     The derivative vanishes as an algebra element exactly when it vanishes
     in every coordinate, so each coordinate contributes its scalar critical
-    points independently.  The product may hold at most DEFAULT_PRODUCT_CAP
-    elements.
+    points independently.
     """
     per_coord = tuple(critical_points(p, cfg) for p in P.coordinate_polys)
-    size = math.prod(len(rs.roots) for rs in per_coord)
-    if size > DEFAULT_PRODUCT_CAP:
-        raise CapacityError(
-            f"critical product has {size} elements (cap {DEFAULT_PRODUCT_CAP}); "
-            "reduce the degree or the dimension"
-        )
-    return CriticalSet(per_coord, size)
+    return CriticalSet(per_coord, math.prod(len(rs.roots) for rs in per_coord))
 
 
 def _derivative_threshold(P: CStarPoly) -> float:
@@ -206,15 +184,44 @@ def _derivative_threshold(P: CStarPoly) -> float:
     return CRITICAL_TOL * max(1.0, scale)
 
 
+def product_extremes(tables, scale):
+    """(min, max) of max_t A_t / (max_t B_t * scale) over the product of the
+    tables, whose rows start (A_t, B_t); scale > 0, floats or Fractions.
+
+    An element's denominator comes from its dominant row (s, w_s), the one
+    with B_s = D the element's largest B.  Among the elements with that
+    dominant row, the smallest numerator takes in every other coordinate
+    the smallest A_t among the rows with B_t <= D, and the largest takes
+    the largest; a row is skipped when some coordinate has no row within
+    D.  Each candidate is the expression the element itself gives, so the
+    extremes equal those of a loop over the whole product.  A row kept with
+    D = 0 means z is an element of the product, and the caller must rule
+    that out first: the division would fail.
+    """
+    lo, hi = math.inf, -math.inf
+    for s, rows in enumerate(tables):
+        for a, d, *_ in rows:
+            near = [
+                [row[0] for row in other if row[1] <= d]
+                for t, other in enumerate(tables)
+                if t != s
+            ]
+            if all(near):
+                den = d * scale
+                lo = min(lo, max([a] + [min(x) for x in near]) / den)
+                hi = max(hi, max([a] + [max(x) for x in near]) / den)
+    return lo, hi
+
+
 def _check(
     P: CStarPoly, z: CStarElement, strong: bool, crit: CriticalSet | None
 ) -> CStarVerdict:
-    """Exhaustive min/max of the normalized quotient over the critical set,
-    plus the strong forms when asked; their flags are None otherwise.
+    """Min/max of the normalized quotient over the critical set, plus the
+    strong forms when asked; their flags are None otherwise.
 
     Every per-element term depends on one coordinate, so coordinate t gets
-    one row (|P_t(z_t) - P_t(w_t)|, |z_t - w_t|, |w_t|, w_t) per critical
-    point w_t; the product loop only takes maxima of table entries.
+    one row (|P_t(z_t) - P_t(w_t)|, |z_t - w_t|, |w_t|) per critical point
+    w_t, and product_extremes reads the extremes off those tables.
     """
     if crit is None:
         crit = enumerate_critical_set(P)
@@ -238,7 +245,7 @@ def _check(
         for wt in rs.roots:
             num = abs(_telescoped_difference(p.roots, zt, wt))
             dist = abs(zt - wt)
-            rows.append((num, dist, abs(wt), wt))
+            rows.append((num, dist, abs(wt)))
             if strong:
                 # coordinatewise order of the squared sides, relative slack
                 lhs = num ** 2
@@ -249,20 +256,21 @@ def _check(
         tables.append(rows)
         strong_smale = strong_smale and smale_t
         strong_dual = strong_dual and dual_t
-    min_ratio, max_ratio, best = math.inf, -math.inf, None
-    # CStarPoly has degree >= 2, so the critical product is never empty
-    for rows in itertools.product(*tables):
-        dist = max(row[1] for row in rows)
-        if dist <= COINCIDENCE_TOL * max(point_scale, max(row[2] for row in rows)):
-            raise PreconditionError("z coincides with a critical element")
-        ratio = max(row[0] for row in rows) / (dist * dnorm)
-        if ratio < min_ratio:
-            min_ratio, best = ratio, rows
-        if ratio > max_ratio:
-            max_ratio = ratio
+    # z coincides with an element w when max_t |z_t - w_t| <= COINCIDENCE_TOL
+    # * max(point_scale, max_t |w_t|).  Such an element exists exactly when
+    # some row (s, w_s) meets its own threshold COINCIDENCE_TOL
+    # * max(point_scale, |w_s|) together with the nearest row of every other
+    # coordinate; no element is nearer than floor, the largest of those
+    # nearest distances.  product_extremes must not see z on an element.
+    floor = max(min(row[1] for row in rows) for rows in tables)
+    for rows in tables:
+        for _, dist, wabs in rows:
+            if max(dist, floor) <= COINCIDENCE_TOL * max(point_scale, wabs):
+                raise PreconditionError("z coincides with a critical element")
+    # CStarPoly has degree >= 2, so every table has a row
+    min_ratio, max_ratio = product_extremes(tables, dnorm)
     return CStarVerdict(
         z=z,
-        best_witness=CStarElement(tuple(row[3] for row in best)),
         min_ratio=min_ratio,
         max_ratio=max_ratio,
         weak_pass=min_ratio <= 1.0 + CONJ_SLACK,
@@ -274,7 +282,7 @@ def _check(
 
 
 def check_smale(P: CStarPoly, z: CStarElement) -> CStarVerdict:
-    """Exhaustive min/max of the normalized quotient over the critical set."""
+    """Min/max of the normalized quotient over the whole critical set."""
     return _check(P, z, False, None)
 
 
@@ -287,7 +295,7 @@ def check_strong_forms(
     so the strong inequalities reduce to per-coordinate comparisons of
     squared moduli.  A strong flag is set when some single critical element
     satisfies the inequality in every coordinate simultaneously.  crit is
-    P's critical set when the caller has already enumerated it.
+    P's critical set when the caller has already computed it.
     """
     return _check(P, z, True, crit)
 

@@ -13,10 +13,6 @@ class PreconditionError(SmaleLabError):
     """A runtime precondition (normalization, non-criticality, ...) failed."""
 
 
-class CapacityError(SmaleLabError):
-    """A requested enumeration exceeds the configured size cap."""
-
-
 class RootFindError(SmaleLabError):
     """Root iteration failed to converge.
 

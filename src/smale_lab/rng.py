@@ -63,10 +63,3 @@ class Stream:
         r = radius * math.sqrt(self.uniform())
         phi = 2.0 * math.pi * self.uniform()
         return complex(r * math.cos(phi), r * math.sin(phi))
-
-    def complex_in_annulus(self, r_lo: float, r_hi: float) -> complex:
-        """Uniform-in-area draw from the annulus r_lo <= |z| <= r_hi."""
-        u = self.uniform()
-        r = math.sqrt(r_lo * r_lo + u * (r_hi * r_hi - r_lo * r_lo))
-        phi = 2.0 * math.pi * self.uniform()
-        return complex(r * math.cos(phi), r * math.sin(phi))

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .cstar import (
-    DEFAULT_PRODUCT_CAP,
     CStarElement,
     CStarPoly,
     check_strong_forms,
@@ -26,7 +25,7 @@ from .cstar import (
     enumerate_critical_set,
 )
 from .dynamics import OrbitConfig, OrbitResult, mlp_check
-from .errors import CapacityError, DomainError, PreconditionError, SmaleLabError
+from .errors import DomainError, PreconditionError, SmaleLabError
 from .polycore import CRITICAL_TOL, Poly, from_coeffs, monic_coeffs, poly_to_json
 from .rng import Stream
 from .rootfind import RootFindConfig, cached_critical_points
@@ -318,12 +317,12 @@ def run_hunt(
 ) -> HuntResult:
     """Randomized conjecture sweep over algebra polynomials.
 
-    Every trial enumerates its critical set exhaustively, so each verdict
-    is exact up to root residuals; candidates failing a conjectured
-    inequality are re-decided in exact rational arithmetic before being
-    reported.  An empty certificate list is the expected outcome.  Trials
-    are independent; results are merged in trial order, so the report does
-    not depend on the worker count.  A trial is skipped only when its draw
+    Every trial decides over its whole critical set (cstar.product_extremes),
+    so each verdict is exact up to root residuals; candidates failing a
+    conjectured inequality are re-decided in exact rational arithmetic
+    before being reported.  An empty certificate list is the expected
+    outcome.  Trials are independent; results are merged in trial order,
+    so the report does not depend on the worker count.  A trial is skipped only when its draw
     finds no admissible z (one at least SAMPLER_MARGIN from every
     coordinate critical point and not itself critical); an error in any
     trial, a root-find failure included, is raised, never skipped.
@@ -332,10 +331,6 @@ def run_hunt(
         raise DomainError(f"hunts need degree >= 2 and dim >= 1, got {n} and {k}")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    if (n - 1) ** k > DEFAULT_PRODUCT_CAP:
-        raise CapacityError(
-            f"critical product size {(n - 1) ** k} exceeds cap {DEFAULT_PRODUCT_CAP}"
-        )
     stream_key = Stream(cfg.seed, _STREAM_HUNT).derive(n).derive(k).key
     work = [(stream_key, t, n, k, strong, rootcfg, cfg.seed) for t in range(trials)]
     if jobs > 1:

@@ -9,8 +9,9 @@ themselves remain approximate (they come from the root finder); their
 residuals are recorded on the certificate, and the tightened tolerance
 absorbs their effect.
 
-Over C^k the witness set is a product of per-coordinate critical points,
-and the re-check builds its exact rows once per coordinate.
+Over C^k the witness set is a product of per-coordinate critical points;
+the re-check builds its exact rows once per coordinate and takes the
+extremes over the product from them with cstar.product_extremes.
 
 A candidate is promoted to a certificate only when this exact computation
 still sees a violation at half the float slack.
@@ -18,11 +19,11 @@ still sees a violation at half the float slack.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cstar import product_extremes
 from .errors import DomainError, PreconditionError
 
 # Half of the float comparison slack (CONJ_SLACK = 1e-9), exactly.
@@ -134,11 +135,9 @@ def exact_cstar_quotients(
         strong_smale = strong_smale and smale_t
         strong_dual = strong_dual and dual_t
 
-    ratios = [
-        max(row[0] for row in rows) / (max(row[1] for row in rows) * dp2)
-        for rows in itertools.product(*tables)
-    ]
-    min_ratio2, max_ratio2 = min(ratios), max(ratios)
+    if all(min(row[1] for row in rows) == 0 for rows in tables):
+        raise PreconditionError("z is an element of the witness product")
+    min_ratio2, max_ratio2 = product_extremes(tables, dp2)
     return ExactQuotients(
         min_ratio2=min_ratio2,
         max_ratio2=max_ratio2,

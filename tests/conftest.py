@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
 
-from smale_lab.errors import DomainError
+from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import Poly, require_finite
 from smale_lab.rng import Stream
 from smale_lab.verify import XC
@@ -52,6 +52,20 @@ def random_roots(stream: Stream, degree: int, radius: float = 4.0, min_sep: floa
                     ok = False
         if ok:
             return roots
+
+
+def gaussian_int(stream: Stream, lo: int = -3, hi: int = 3) -> complex:
+    """A Gaussian integer with both parts in [lo, hi]: moduli and distances
+    of these tie often, across rows and coordinates."""
+    return complex(*(math.floor(stream.uniform_in(lo, hi + 1)) for _ in range(2)))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the PreconditionError it raises."""
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return type(exc)
 
 
 def match_multisets(found, expected, tol):

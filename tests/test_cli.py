@@ -112,6 +112,18 @@ class TestCStar:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["strong"] is True
 
+    def test_critical_product_beyond_a_million_elements(self):
+        # 2^24 critical elements per trial: the extremes come from the
+        # per-coordinate tables, so no size is refused
+        proc = run_cli(
+            "cstar", "--degree", "3", "--dim", "24", "--trials", "10", "--strong"
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["model"] == "C(24 points)"
+        assert data["stats"]["trials_run"] + data["stats"]["trials_skipped"] == 10
+        load_schema_validator()(data)
+
     @pytest.mark.parametrize("argv,message", [
         (["--degree", "1", "--dim", "2", "--trials", "5"], "degree >= 2"),
         (["--degree", "3", "--dim", "0", "--trials", "5"], "dim >= 1"),

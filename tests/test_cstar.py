@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from conftest import gaussian_int, outcome
 from smale_lab import cstar as cstar_module
 from smale_lab.cstar import (
     CStarElement,
     CStarPoly,
+    CriticalSet,
     check_smale,
     check_strong_forms,
     cstar_derivative_eval,
@@ -14,9 +16,10 @@ from smale_lab.cstar import (
     degree2_identity_residual,
     enumerate_critical_set,
 )
-from smale_lab.errors import CapacityError, DomainError, PreconditionError
+from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import COINCIDENCE_TOL, evaluate, from_roots
 from smale_lab.rng import Stream
+from smale_lab.rootfind import RootSet
 from smale_lab.smale import ds_at, s_at
 
 def rand_element(st_: Stream, k: int, radius: float = 4.0) -> CStarElement:
@@ -37,14 +40,18 @@ def pointwise_value(P: CStarPoly, z: CStarElement) -> tuple[complex, ...]:
 def quotient_norm(P: CStarPoly, z: CStarElement, w: CStarElement) -> float:
     """||P(z) - P(w)|| / ||z - w|| from the direct differences."""
     pz, pw = pointwise_value(P, z), pointwise_value(P, w)
-    return max(abs(a - b) for a, b in zip(pz, pw)) / (z - w).norm()
+    num = max(abs(a - b) for a, b in zip(pz, pw))
+    return num / max(abs(a - b) for a, b in zip(z.coords, w.coords))
+
+
+def pooled(*pools) -> CriticalSet:
+    """A critical set with the given coordinate pools, in place of the
+    critical points P has."""
+    sets = tuple(RootSet(tuple(p), (1,) * len(p), (0.0,) * len(p)) for p in pools)
+    return CriticalSet(sets, math.prod(len(p) for p in pools))
 
 
 class TestAlgebra:
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            CStarElement((1j,)) + CStarElement((1j, 2j))
-
     def test_sup_norm(self):
         assert CStarElement((3 + 4j, 1 + 0j)).norm() == 5.0
 
@@ -122,18 +129,10 @@ class TestCriticalSet:
         crit = enumerate_critical_set(CStarPoly(roots))
         assert sum(crit.per_coordinate[0].multiplicities) == 4
 
-    def test_capacity_error(self, monkeypatch):
-        # the cap is read at call time; 3^3 = 27 elements exceed a cap of 10
-        monkeypatch.setattr(cstar_module, "DEFAULT_PRODUCT_CAP", 10)
-        stream = Stream(94)
-        roots = tuple(rand_element(stream, 3, 2.0) for _ in range(4))
-        with pytest.raises(CapacityError, match="cap 10"):
-            enumerate_critical_set(CStarPoly(roots))
 
-
-def _elementwise_check(P, z):
-    """(min, max, best witness, strong flags) by recomputing every term for
-    each element of the critical product."""
+def _elementwise_check(P, z, crit=None):
+    """(min, max, strong flags) by recomputing every term for each element
+    of the critical product; crit defaults to P's critical set."""
     slack = cstar_module.CONJ_SLACK
     dval = cstar_derivative_eval(P, z)
     dnorm = dval.norm()
@@ -152,10 +151,11 @@ def _elementwise_check(P, z):
         return True
 
     strong_smale = strong_dual = False
-    min_ratio, max_ratio, best_w = math.inf, -math.inf, None
-    for w in critical_elements(enumerate_critical_set(P)):
+    min_ratio, max_ratio = math.inf, -math.inf
+    for w in critical_elements(crit or enumerate_critical_set(P)):
         dist = max(abs(a - b) for a, b in zip(z.coords, w.coords))
-        assert dist > COINCIDENCE_TOL * max(point_scale, w.norm())
+        if dist <= COINCIDENCE_TOL * max(point_scale, w.norm()):
+            raise PreconditionError("z coincides with a critical element")
         diffs = []
         for t in range(P.dim):
             zt, wt = z.coords[t], w.coords[t]
@@ -170,13 +170,16 @@ def _elementwise_check(P, z):
                 prefix *= zf[j]
             diffs.append(acc * (zt - wt))
         ratio = max(abs(d) for d in diffs) / (dist * dnorm)
-        if ratio < min_ratio:
-            min_ratio, best_w = ratio, w
-        if ratio > max_ratio:
-            max_ratio = ratio
+        min_ratio = min(min_ratio, ratio)
+        max_ratio = max(max_ratio, ratio)
         strong_smale = strong_smale or strong_holds(diffs, w, sharp_sq, False)
         strong_dual = strong_dual or strong_holds(diffs, w, dual_sq, True)
-    return min_ratio, max_ratio, best_w, strong_smale, strong_dual
+    return min_ratio, max_ratio, strong_smale, strong_dual
+
+
+def _verdict(P, z, crit=None):
+    v = check_strong_forms(P, z, crit)
+    return v.min_ratio, v.max_ratio, v.strong_smale_pass, v.strong_dual_pass
 
 
 class TestCheckSmale:
@@ -212,9 +215,18 @@ class TestCheckSmale:
 
     def test_exhaustive_enumeration_is_oracle(self, monkeypatch):
         # the per-coordinate tables give exactly (==) what the element-wise
-        # loop over the full product gives, and the min/max agree with the
-        # direct differences P(z) - P(w); a negative comparison slack then
-        # makes the strong flags fail often, so both of their values occur
+        # loop over the full product gives, and raise PreconditionError
+        # exactly when the loop does.  Besides seeded draws with their own
+        # critical sets there are Gaussian-integer roots, points and pools,
+        # whose tables tie in A and in B across rows and coordinates, and
+        # planted pools: z in every coordinate (raises), z within or beyond
+        # COINCIDENCE_TOL * |w| of a point of size 1e6 in every coordinate
+        # (raises, does not), and z in coordinate 0 only, where B = 0 in
+        # one row but no element coincides (does not).  The min/max agree
+        # with the direct differences P(z) - P(w) away from the point of size
+        # 1e6, where those cancel; a negative comparison
+        # slack then makes the strong flags fail often, so both of their
+        # values occur
         cases = []
         stream = Stream(97)
         for n in range(2, 6):
@@ -222,34 +234,67 @@ class TestCheckSmale:
                 for trial in range(6):
                     st_ = stream.derive(n).derive(k).derive(trial)
                     P = CStarPoly(tuple(rand_element(st_, k, 2.0) for _ in range(n)))
-                    cases.append((P, rand_element(st_, k, 3.0)))
-        flags = set()
+                    z = rand_element(st_, k, 3.0)
+                    cases.append((P, z, None, None))
+                    pools = [list(rs.roots) for rs in enumerate_critical_set(P).per_coordinate]
+                    if k > 1 and trial < 2:
+                        on_z = [p + [zt] for p, zt in zip(pools, z.coords)]
+                        cases.append((P, z, pooled(*on_z), True))
+                        planted = [pools[0] + [z.coords[0]]] + pools[1:]
+                        cases.append((P, z, pooled(*planted), False))
+                        far = CStarElement((1e6 + 0j,) + z.coords[1:])
+                        for delta, coincides in ((0.5e-6, True), (2e-6, False)):
+                            near = [
+                                p + [zt + delta * 1j ** t]
+                                for t, (p, zt) in enumerate(zip(pools, far.coords))
+                            ]
+                            cases.append((P, far, pooled(*near), coincides))
+                    P, z = (
+                        CStarPoly(tuple(
+                            CStarElement(tuple(gaussian_int(st_) for _ in range(k)))
+                            for _ in range(n)
+                        )),
+                        CStarElement(tuple(gaussian_int(st_) for _ in range(k))),
+                    )
+                    size = 1 + trial % 4
+                    pools = [[gaussian_int(st_, -2, 2) for _ in range(size)] for _ in range(k)]
+                    cases.append((P, z, pooled(*pools), None))
+        # z coincides only through |w_0| > ||z||: coordinate 0 sits 8 ulps
+        # inside w_0 = 1e6, and coordinate 1 exactly COINCIDENCE_TOL * w_0
+        # from its witness, which is beyond COINCIDENCE_TOL * ||z||
+        w0 = 1e6
+        z = CStarElement((w0 - 8 * 2.0 ** -33, 0j))
+        tol = COINCIDENCE_TOL * w0
+        assert tol > COINCIDENCE_TOL * z.norm()
+        P = CStarPoly(tuple(rand_element(stream, 2, 2.0) for _ in range(3)))
+        cases.append((P, z, pooled([w0, w0 + 1.0], [tol, 1.0]), True))
+        cases = [case for case in cases if cstar_derivative_eval(*case[:2]).norm() > 1e-6]
+        flags, raised = set(), set()
         for slack in (None, -0.25):
             if slack is not None:
                 monkeypatch.setattr(cstar_module, "CONJ_SLACK", slack)
-            for P, z in cases:
-                try:
-                    v = check_strong_forms(P, z)
-                except PreconditionError:
+            for P, z, crit, coincides in cases:
+                got = outcome(_verdict, P, z, crit)
+                assert got == outcome(_elementwise_check, P, z, crit)
+                if coincides is not None:
+                    assert (got is PreconditionError) == coincides
+                if got is PreconditionError:
+                    raised.add(coincides)
                     continue
-                want = _elementwise_check(P, z)
-                got = (
-                    v.min_ratio, v.max_ratio, v.best_witness,
-                    v.strong_smale_pass, v.strong_dual_pass,
-                )
-                assert got == want
-                assert v.min_ratio == check_smale(P, z).min_ratio
-                if slack is None:
+                if crit is None:
+                    assert got[0] == check_smale(P, z).min_ratio
+                if slack is not None:
+                    flags.update(got[2:])
+                elif z.norm() < 1e6:
                     dnorm = cstar_derivative_eval(P, z).norm()
                     ratios = [
                         quotient_norm(P, z, w) / dnorm
-                        for w in critical_elements(enumerate_critical_set(P))
+                        for w in critical_elements(crit or enumerate_critical_set(P))
                     ]
-                    assert v.min_ratio == pytest.approx(min(ratios), rel=1e-9)
-                    assert v.max_ratio == pytest.approx(max(ratios), rel=1e-9)
-                else:
-                    flags.update((v.strong_smale_pass, v.strong_dual_pass))
+                    assert got[0] == pytest.approx(min(ratios), rel=1e-9)
+                    assert got[1] == pytest.approx(max(ratios), rel=1e-9)
         assert flags == {True, False}
+        assert None in raised  # an unplanted Gaussian-integer z on an element
 
     def test_min_over_product_le_min_over_subset(self):
         stream = Stream(98)

@@ -34,6 +34,26 @@ def test_every_traced_binding_resolves():
     assert rootfind.cached_critical_points.cache_info() is not None
 
 
+def test_traced_hunt_step_reads_its_hooks(tmp_path):
+    # the traced benchmark run feeds every hook the outputs it reads; one
+    # traced step of hunt checks the critical-set hook, which reads
+    # CriticalSet.product_size: 20 trials of (3, 2), 2^2 elements each
+    pytest.importorskip("numpy")
+    pytest.importorskip("scipy")
+    tracer = _perfbench_module("tracer")
+    wl = workloads.WORKLOADS["hunt"](1, str(tmp_path))
+    inp = wl.next_input()
+    assert inp[:3] == (3, 2, 20)
+    tr = tracer.Tracer()
+    tr.install(tracer.package_targets())
+    try:
+        step = wl.step(inp, False)
+    finally:
+        tr.restore()
+    assert step.failed == 0
+    assert tr.counts["cstar.enumerate_critical_set.elements"] == 80
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_one_step_of_each_workload(name, tmp_path):
     wl = workloads.WORKLOADS[name](1, str(tmp_path))

@@ -6,7 +6,6 @@ import pytest
 from conftest import convolve_oracle, polar
 from smale_lab import polycore, search, simplex
 from smale_lab.errors import (
-    CapacityError,
     DomainError,
     PreconditionError,
     RootFindError,
@@ -288,11 +287,6 @@ class TestHunt:
         b = run_hunt(3, 2, 60, SearchConfig(seed=78), jobs=4)
         assert a.stats == b.stats
         assert a.certificates == b.certificates
-
-    def test_capacity_guard(self):
-        # 4^12 critical elements exceed the product cap
-        with pytest.raises(CapacityError):
-            run_hunt(5, 12, 1)
 
     def test_one_enumeration_per_trial_with_the_callers_config(self, monkeypatch):
         # the verdict and the certificate witnesses come from the one set

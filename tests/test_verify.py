@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import gaussian_int, outcome
 from smale_lab import verify
 from smale_lab.cstar import CStarElement, CStarPoly, enumerate_critical_set
 from smale_lab.errors import DomainError, PreconditionError
@@ -46,6 +47,8 @@ def elementwise_exact(root_coords, z_coords, pools):
     ratios = []
     some_smale = some_dual = False
     for w in itertools.product(*pools):
+        if w == tuple(z_coords):
+            raise PreconditionError("z is an element of the witness product")
         ws = [XC.of(c) for c in w]
         num2 = dist2 = Fraction(0)
         smale_ok = dual_ok = True
@@ -161,22 +164,38 @@ class TestExactQuotients:
 
     def test_matches_elementwise_oracle(self):
         # exact rationals do not depend on the order of evaluation, so the
-        # per-coordinate rows give == what the element-wise loop gives; the
-        # planted pools (the critical points moved by up to 3) make the
-        # strong flags come out True as well as False
+        # per-coordinate rows give == what the element-wise loop gives, and
+        # raise PreconditionError exactly when it does.  The witness pools
+        # are the critical points; the same moved by up to 3, which makes
+        # the strong flags come out True as well as False; the critical
+        # points plus z in coordinate 0 only (a zero distance in one row,
+        # no element at z); and Gaussian integers, with Gaussian-integer
+        # roots and z, whose rows tie across rows and coordinates and
+        # sometimes put z on an element
         stream = Stream(411)
-        flags = set()
+        flags, outcomes = set(), set()
         for n, k in ((2, 4), (3, 2), (4, 3), (5, 2)):
             for trial in range(4):
                 st_ = stream.derive(n).derive(k).derive(trial)
                 roots, z, pools = _draw(st_, n, k)
                 planted = [[w + st_.complex_in_disk(3.0) for w in pool] for pool in pools]
-                for witnesses in (pools, planted):
+                on_z = [pools[0] + [z[0]]] + pools[1:]
+                for witnesses in (pools, planted, on_z):
                     got = exact_cstar_quotients(roots, z, witnesses)
                     assert got == elementwise_exact(roots, z, witnesses)
                     flags.add((got.strong_smale_violated, got.strong_dual_violated))
+                for _ in range(4):
+                    roots = [[gaussian_int(st_) for _ in range(k)] for _ in range(n)]
+                    z = [gaussian_int(st_, -1, 1) for _ in range(k)]
+                    pools = [
+                        [gaussian_int(st_, -1, 1) for _ in range(1 + trial)] for _ in range(k)
+                    ]
+                    got = outcome(exact_cstar_quotients, roots, z, pools)
+                    assert got == outcome(elementwise_exact, roots, z, pools)
+                    outcomes.add(got is PreconditionError)
         assert {f[0] for f in flags} == {True, False}
         assert {f[1] for f in flags} == {True, False}
+        assert outcomes == {True, False}
 
     def test_exact_rows_built_once_per_coordinate(self, monkeypatch):
         # one product per coordinate for P_t(z_t) and one per critical point:
