@@ -267,23 +267,12 @@ def _cmd_dynamics(ns, seed: int) -> Outcome:
     if ns.poly is not None:
         p = _parse_poly(ns.poly)
         ok, res = mlp_check(p, ocfg)
-        orbits = []
-        for w in cached_critical_points(p).roots:
-            r = orbit(p, w, ocfg)
-            orbits.append(
-                {
-                    "w0": complex_pair(r.w0),
-                    "ratio": r.ratio,
-                    "verdict": r.verdict,
-                    "trajectory_len": r.trajectory_len,
-                    "final_modulus": r.final_modulus,
-                }
-            )
+        runs = [orbit(p, w, ocfg) for w in cached_critical_points(p).roots]
         body = {
             "poly": poly_payload(p),
             "mlp_pass": ok,
             "witness": complex_pair(res.w0),
-            "orbits": orbits,
+            "orbits": [{**asdict(r), "w0": complex_pair(r.w0)} for r in runs],
         }
         certificates = [] if ok else [mlp_certificate(p, res, 0, seed)]
         return body, certificates, None

@@ -24,7 +24,6 @@ from .polycore import (
     COINCIDENCE_TOL,
     CRITICAL_TOL,
     Poly,
-    _pair_to_complex,
     from_roots,
     require_finite,
     sum_of_products_derivative,
@@ -56,14 +55,6 @@ class CStarElement:
     def _check_dim(self, other: "CStarElement") -> None:
         if self.dim != other.dim:
             raise DomainError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    @staticmethod
-    def from_json(obj, where: str = "element") -> "CStarElement":
-        if not isinstance(obj, list) or not obj:
-            raise DomainError(f"{where} must be a non-empty list of [re, im] pairs")
-        return CStarElement(
-            tuple(_pair_to_complex(pair, f"{where}[{i}]") for i, pair in enumerate(obj))
-        )
 
     def to_json(self) -> list:
         return [[c.real, c.imag] for c in self.coords]
@@ -99,15 +90,6 @@ class CStarPoly:
 
     def to_json(self) -> dict:
         return {"roots": [r.to_json() for r in self.roots]}
-
-    @staticmethod
-    def from_json(obj) -> "CStarPoly":
-        if not isinstance(obj, dict) or "roots" not in obj:
-            raise DomainError('algebra poly must be an object with "roots"')
-        roots = [
-            CStarElement.from_json(r, f"roots[{i}]") for i, r in enumerate(obj["roots"])
-        ]
-        return CStarPoly(tuple(roots))
 
 
 @dataclass(frozen=True)

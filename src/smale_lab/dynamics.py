@@ -108,65 +108,51 @@ def escape_test(coeffs: Sequence[complex]) -> Callable[[complex], bool]:
     return lambda z: not abs(z) < radius  # NaN from overflow also escaped
 
 
-def iterate_orbit(step, distance, x0, cfg: OrbitConfig, converged, escaped):
-    """Generic orbit loop behind ``orbit``, taking the step map and the tests.
-
-    Returns (verdict, steps, final point).  The proven predicates
-    ``escaped`` and ``converged`` are tested at x0 and after every step; a
-    cycle found by Brent's comparison is confirmed by going once around.
-    """
-
-    def decide(x):
-        if escaped(x):
-            return VERDICT_ESCAPED
-        return VERDICT_CONVERGED if converged(x) else None
-
-    x = saved = x0
-    verdict = decide(x)
-    steps = lam = 0
-    power = 1
-    while verdict is None and steps < cfg.max_iters:
-        x = step(x)
-        steps += 1
-        verdict = decide(x)
-        lam += 1
-        if verdict is None and distance(x, saved) <= _CYCLE_TOL:
-            # candidate cycle of length lam; confirm by going once around
-            y = x
-            for _ in range(lam):
-                y = step(y)
-                steps += 1
-                verdict = decide(y)
-                if verdict is not None:
-                    return verdict, steps, y
-            if distance(y, x) <= _CYCLE_TOL:
-                return VERDICT_CYCLED, steps, y
-            x = saved = y
-            power, lam = 1, 0
-        elif lam == power:
-            saved = x
-            power <<= 1
-            lam = 0
-    return verdict or VERDICT_MAX_ITERS, steps, x
-
-
 def orbit(p: Poly, w0: complex, cfg: OrbitConfig = OrbitConfig()) -> OrbitResult:
-    """Iterate z -> p(z) from w0 and classify the trajectory."""
+    """Iterate z -> p(z) from w0 and classify the trajectory.
+
+    The proven escape and petal tests run at w0 and after every step.  A
+    cycle found by Brent's comparison is confirmed by going once around,
+    which may run past cfg.max_iters by the cycle's length.
+    """
     if not is_normalized(p, 1e-10):
         raise PreconditionError("orbit needs p(0) = 0 and p'(0) = 1 within 1e-10")
     w0 = complex(w0)
     lead, *rest = reversed(p.coeffs)
-
-    def step(z: complex) -> complex:
+    escapes, in_petal = escape_test(p.coeffs), petal_test(p.coeffs)
+    # at w0 = 0, the limit of |P(w)/w| as w -> 0 under the normalization
+    ratio = abs(evaluate(p, w0) / w0) if w0 != 0 else 1.0
+    z = saved = anchor = w0
+    steps = lam = around = 0  # around > 0: steps left to go once around
+    power = 1
+    while True:
+        if escapes(z):
+            verdict = VERDICT_ESCAPED
+            break
+        if in_petal(z):
+            verdict = VERDICT_CONVERGED
+            break
+        if around:
+            around -= 1
+            if not around:
+                if abs(z - anchor) <= _CYCLE_TOL:
+                    verdict = VERDICT_CYCLED
+                    break
+                saved, power, lam = z, 1, 0
+        elif steps:
+            lam += 1
+            if abs(z - saved) <= _CYCLE_TOL:
+                anchor, around = z, lam  # candidate cycle of length lam
+            elif lam == power:
+                saved, power, lam = z, power << 1, 0
+        if not around and steps >= cfg.max_iters:
+            verdict = VERDICT_MAX_ITERS
+            break
         acc = lead
         for c in rest:
             acc = acc * z + c
-        return acc
-
-    # at w0 = 0, the limit of |P(w)/w| as w -> 0 under the normalization
-    ratio = abs(evaluate(p, w0) / w0) if w0 != 0 else 1.0
-    tests = petal_test(p.coeffs), escape_test(p.coeffs)
-    verdict, steps, z = iterate_orbit(step, lambda a, b: abs(a - b), w0, cfg, *tests)
+        z = acc
+        steps += 1
     final_mod = math.inf if cmath.isnan(z) else abs(z)  # NaN: overflow, escaped
     return OrbitResult(w0, ratio, steps, verdict, final_mod)
 

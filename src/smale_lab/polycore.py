@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 Scalar = complex
 
@@ -154,36 +154,7 @@ def kth_derivative(p: Poly, k: int) -> Poly:
     return Poly(coeffs)
 
 
-def taylor_coeffs(p: Poly, z0: Scalar) -> tuple[complex, ...]:
-    """Coefficients of h -> p(z0 + h), by repeated synthetic division."""
-    z0 = require_finite(z0, "expansion point")
-    b = list(p.coeffs)
-    n = p.degree
-    for j in range(n):
-        for i in range(n - 1, j - 1, -1):
-            b[i] = b[i] + z0 * b[i + 1]
-    return tuple(b)
-
-
-def renormalize_at(p: Poly, z0: Scalar) -> Poly:
-    """Recenter and rescale so the result Q has Q(0) = 0 and Q'(0) = 1.
-
-    Q(h) = (p(z0 + h) - p(z0)) / p'(z0).  Critical points shift by -z0 and
-    the mean value ratios at z0 are preserved, which is what reduces the
-    global quantities to their normalized versions.
-    """
-    if p.degree < 1:
-        raise DomainError("renormalize_at needs degree >= 1")
-    dp = derivative(p)
-    dval = evaluate(dp, z0)
-    if abs(dval) <= CRITICAL_TOL * dp.coeff_scale:
-        raise PreconditionError(f"z0 = {z0!r} is a critical point of p")
-    shifted = taylor_coeffs(p, z0)
-    coeffs = [0.0 + 0.0j]
-    coeffs.extend(c / shifted[1] for c in shifted[1:])
-    return from_coeffs(coeffs)
-
-
+# kept as the tests' bitwise kernel reference; perfbench/tracer.py wraps it
 def divided_difference(p: Poly, z: Scalar, w: Scalar) -> Scalar:
     """(p(z) - p(w)) / (z - w), evaluated without the subtraction.
 

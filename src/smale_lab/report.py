@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 from .polycore import Poly, poly_to_json
-from .search import RestartRecord, SearchState
-from .smale import BoundCheck, QuotientWitness, ScalarReport
+from .search import SearchState
+from .smale import QuotientWitness, ScalarReport
 
 
 def _format_float(x: float) -> str:
@@ -77,16 +78,6 @@ def witness_to_json(wit: QuotientWitness) -> dict:
     }
 
 
-def bound_check_to_json(check: BoundCheck) -> dict:
-    return {
-        "name": check.name,
-        "kind": check.kind,
-        "bound": check.bound,
-        "observed": check.observed,
-        "passed": check.passed,
-    }
-
-
 def scalar_report_to_json(rep: ScalarReport) -> dict:
     return {
         "degree": rep.degree,
@@ -97,20 +88,12 @@ def scalar_report_to_json(rep: ScalarReport) -> dict:
         "s0": rep.s0,
         "ds0": rep.ds0,
         "witnesses": [witness_to_json(w) for w in rep.witnesses],
-        "bound_checks": [bound_check_to_json(c) for c in rep.bound_checks],
+        "bound_checks": [asdict(c) for c in rep.bound_checks],
         "s_argmax_z": None if rep.s_argmax_z is None else complex_pair(rep.s_argmax_z),
         "ds_argmin_z": None
         if rep.ds_argmin_z is None
         else complex_pair(rep.ds_argmin_z),
         "all_theorems_pass": rep.all_theorems_pass,
-    }
-
-
-def restart_record_to_json(rec: RestartRecord) -> dict:
-    return {
-        "index": rec.index,
-        "objective": rec.objective,
-        "best_so_far": rec.best_so_far,
     }
 
 
@@ -121,7 +104,7 @@ def search_state_to_json(state: SearchState) -> dict:
         "best_poly": poly_to_json(state.best_poly),
         "best_poly_coeffs": [complex_pair(c) for c in state.best_poly.coeffs],
         "restarts_done": state.restarts_done,
-        "restart_table": [restart_record_to_json(r) for r in state.table],
+        "restart_table": [asdict(r) for r in state.table],
     }
 
 

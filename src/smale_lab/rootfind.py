@@ -39,10 +39,6 @@ class RootSet:
     multiplicities: tuple[int, ...]
     residuals: tuple[float, ...]
 
-    @property
-    def total(self) -> int:
-        return sum(self.multiplicities)
-
     def expanded(self) -> tuple[complex, ...]:
         """Roots repeated according to multiplicity."""
         out: list[complex] = []

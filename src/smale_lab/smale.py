@@ -33,7 +33,6 @@ from .polycore import (
     Poly,
     Scalar,
     derivative,
-    divided_difference,
     evaluate,
     is_normalized,
     kth_derivative,
@@ -108,20 +107,13 @@ class ScalarReport:
         return all(c.passed for c in self.bound_checks)
 
 
-def smale_quotient(p: Poly, z: Scalar, w: Scalar) -> float:
-    """|P(z) - P(w)| / |z - w| via the cancellation-free divided difference."""
-    if abs(z - w) <= COINCIDENCE_TOL * max(1.0, abs(z), abs(w)):
-        raise PreconditionError(f"points coincide: z = {z!r}, w = {w!r}")
-    return abs(divided_difference(p, z, w))
-
-
 class _QuotientKernel:
     """Everything the quotients of one polynomial need, hoisted out of the
     per-point loop; built once per polynomial, by ``_kernel`` only.
 
-    ``scan`` performs the float operations of ``evaluate`` on P',
-    ``smale_quotient`` and ``divided_difference`` in the same order, so its
-    values agree with them bit for bit.
+    ``scan`` performs the float operations of ``evaluate`` on P' and of
+    ``divided_difference`` in the same order, so its values agree with them
+    bit for bit.
 
     ``scan`` keeps its last result in ``_last`` as (z, result), so ``s_at``
     and ``ds_at`` at one point share a scan.  The key is the caller's z
@@ -323,22 +315,6 @@ def _refined(kernel: _QuotientKernel, scored, maximize: bool, sampler: SampleCon
     if refined_z is not None:
         best_z, best_wit = refined_z, kernel.extreme(*kernel.scan(refined_z), maximize)
     return best_val, best_z, best_wit
-
-
-def higher_order_quantity(p: Poly, z: Scalar, w: Scalar, k: int) -> float:
-    """(|P^(k)(z)| / k!) |P(z) - P(w)|^(k-1) / |P'(z)|^k at a critical w."""
-    n = p.degree
-    if not 2 <= k <= n:
-        raise DomainError(f"order k must satisfy 2 <= k <= {n}, got {k}")
-    kernel = _kernel(p)
-    dabs = kernel.derivative_abs(z)
-    dp = kernel.dp
-    wval = abs(evaluate(dp, w))
-    if wval > 1e-6 * dp.coeff_scale * max(1.0, abs(w)) ** dp.degree:
-        raise PreconditionError(f"w = {w!r} is not a critical point of p")
-    diff = smale_quotient(p, z, w) * abs(z - w)
-    kth = abs(evaluate(kth_derivative(p, k), z))
-    return (kth / math.factorial(k)) * diff ** (k - 1) / dabs ** k
 
 
 def _upper(name, bound, observed):

@@ -135,6 +135,8 @@ def exact_cstar_quotients(
         strong_smale = strong_smale and smale_t
         strong_dual = strong_dual and dual_t
 
+    if dp2 == 0:
+        raise PreconditionError("P'(z) is zero in every coordinate")
     if all(min(row[1] for row in rows) == 0 for rows in tables):
         raise PreconditionError("z is an element of the witness product")
     min_ratio2, max_ratio2 = product_extremes(tables, dp2)

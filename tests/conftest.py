@@ -5,7 +5,14 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 
 from smale_lab.errors import DomainError, PreconditionError
-from smale_lab.polycore import Poly, require_finite
+from smale_lab.polycore import (
+    Poly,
+    derivative,
+    evaluate,
+    from_coeffs,
+    kth_derivative,
+    require_finite,
+)
 from smale_lab.rng import Stream
 from smale_lab.verify import XC
 
@@ -82,6 +89,21 @@ def match_multisets(found, expected, tol):
 
 def polar(r, theta):
     return r * cmath.exp(1j * theta)
+
+
+def higher_order_oracle(p: Poly, z: complex, w: complex, k: int) -> float:
+    """(|P^(k)(z)| / k!) |P(z) - P(w)|^(k-1) / |P'(z)|^k, the quantity of the
+    higher-order mean value theorem, by direct evaluation."""
+    kth = abs(evaluate(kth_derivative(p, k), z)) / math.factorial(k)
+    diff = abs(evaluate(p, z) - evaluate(p, w))
+    return kth * diff ** (k - 1) / abs(evaluate(derivative(p), z)) ** k
+
+
+def renormalize_oracle(p: Poly, z0: complex) -> Poly:
+    """Q(h) = (P(z0 + h) - P(z0)) / P'(z0) for a P built from roots: Q(0) = 0,
+    Q'(0) = 1, and Q's ratios at 0 are P's at z0."""
+    c = convolve_oracle([r - z0 for r in p.roots])
+    return from_coeffs([0j] + [a / c[1] for a in c[1:]])
 
 
 def scale_conjugate(p: Poly, lam: complex) -> Poly:

@@ -419,21 +419,3 @@ class TestPolyType:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DomainError):
             CStarPoly((CStarElement((0j,)), CStarElement((0j, 0j))))
-
-    def test_json_roundtrip(self):
-        stream = Stream(302)
-        P = CStarPoly(tuple(rand_element(stream, 3, 2.0) for _ in range(3)))
-        Q = CStarPoly.from_json(P.to_json())
-        assert Q == P
-
-    @pytest.mark.parametrize("obj", [
-        [], "1", [[1]], [[1, 0, 0]], [[True, 0]], [[0, False]], [["1", 0]],
-        [[None, 0]], [[float("nan"), 0]], [[0, float("inf")]],
-    ])
-    def test_element_json_rejects_bad_pairs(self, obj):
-        # one [re, im] parser for the whole package: booleans and strings
-        # are not numbers, and every rejection is a DomainError
-        with pytest.raises(DomainError):
-            CStarElement.from_json(obj)
-        with pytest.raises(DomainError):
-            CStarPoly.from_json({"roots": [obj, [[0, 0]]]})

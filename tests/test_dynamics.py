@@ -9,7 +9,6 @@ from smale_lab.dynamics import (
     VERDICT_ESCAPED,
     VERDICT_MAX_ITERS,
     OrbitConfig,
-    iterate_orbit,
     mlp_check,
     orbit,
 )
@@ -21,10 +20,6 @@ from smale_lab.search import random_normalized_poly
 
 QUAD = from_coeffs([0, 1, -0.5])  # z - z^2/2
 CUBIC = from_coeffs([0, 1, 0, -1 / 3])  # z - z^3/3
-
-
-def never(x):
-    return False
 
 
 def replay_moduli(p, w0, steps):
@@ -138,41 +133,24 @@ class TestOrbitConfig:
 
 class TestEngine:
     def test_pure_rotation_is_cycle(self):
-        verdict, steps, final = iterate_orbit(
-            lambda z: 1j * z,
-            lambda a, b: abs(a - b),
-            1.0 + 0j,
-            OrbitConfig(),
-            never,
-            never,
-        )
-        assert verdict == VERDICT_CYCLED
-        assert abs(final) == pytest.approx(1.0)
+        # z + (i - 1) z^5 maps 1 -> i -> -1 -> -i -> 1 exactly: a 4-cycle,
+        # seen when Brent's window has doubled to 4 and confirmed once around
+        p = from_coeffs([0, 1, 0, 0, 0, -1 + 1j])
+        res = orbit(p, 1.0)
+        assert (res.verdict, res.trajectory_len) == (VERDICT_CYCLED, 11)
+        assert final_point(p, res) == -1j
 
     def test_two_cycle(self):
-        # x -> 1 - x on reals: {0.25, 0.75} is a 2-cycle
-        verdict, _, _ = iterate_orbit(
-            lambda z: 1 - z,
-            lambda a, b: abs(a - b),
-            0.25 + 0j,
-            OrbitConfig(),
-            never,
-            never,
-        )
-        assert verdict == VERDICT_CYCLED
+        # z - 2 z^3 swaps 1 and -1
+        res = orbit(from_coeffs([0, 1, 0, -2]), 1.0)
+        assert (res.verdict, res.trajectory_len) == (VERDICT_CYCLED, 5)
 
     def test_slow_drift_times_out(self):
-        cfg = OrbitConfig(max_iters=100)
-        verdict, steps, _ = iterate_orbit(
-            lambda z: z + 0.001,
-            lambda a, b: abs(a - b),
-            0.002 + 0j,
-            cfg,
-            never,
-            never,
-        )
-        assert verdict == VERDICT_MAX_ITERS
-        assert steps == 100
+        # a nearly parabolic fixed point at -a_2/a_3, 0.005 from 0: the orbit
+        # drifts toward it, neither proven nor cycling within the budget
+        p = from_coeffs([0, 1, -0.00059 + 0.0048j, -0.071 + 0.958j])
+        res = orbit(p, -0.433 - 0.401j, OrbitConfig(max_iters=100))
+        assert (res.verdict, res.trajectory_len) == (VERDICT_MAX_ITERS, 100)
 
     def test_slow_crawl_to_zero_not_flagged_as_cycle(self):
         # z - z^2 creeps into 0 like 1/k; the petal proves convergence long

@@ -14,9 +14,7 @@ from smale_lab.polycore import (
     kth_derivative,
     poly_from_json,
     poly_to_json,
-    renormalize_at,
     sum_of_products_derivative,
-    taylor_coeffs,
 )
 from smale_lab.rng import Stream
 
@@ -123,46 +121,6 @@ class TestKthDerivative:
             kth_derivative(from_coeffs([0, 0, 1]), -1)
 
 
-class TestRenormalize:
-    def test_square_at_one(self):
-        q = renormalize_at(from_coeffs([0, 0, 1]), 1.0)
-        assert_coeffs(q, [0, 1, 0.5], tol=1e-15)
-
-    def test_identity_case(self):
-        p = from_coeffs([0, 1, 0.7, -0.3])
-        q = renormalize_at(p, 0.0)
-        assert_coeffs(q, p.coeffs, tol=1e-15)
-
-    def test_critical_point_rejected(self):
-        with pytest.raises(PreconditionError):
-            renormalize_at(from_coeffs([0, 0, 1]), 0.0)
-
-    def test_always_normalized(self):
-        stream = Stream(31)
-        for _ in range(50):
-            p = from_roots(random_roots(stream, 5))
-            z0 = stream.complex_in_disk(3.0)
-            try:
-                q = renormalize_at(p, z0)
-            except PreconditionError:
-                continue
-            assert abs(q.coeffs[0]) == 0
-            assert abs(q.coeffs[1] - 1) <= 1e-12
-            assert is_normalized(q)
-
-    def test_taylor_shift_oracle(self):
-        # coefficients of p(z0 + h) must reproduce p at spot checks
-        stream = Stream(33)
-        p = from_coeffs([1, -2, 0.5j, 3])
-        z0 = 0.75 - 0.25j
-        shifted = taylor_coeffs(p, z0)
-        for _ in range(20):
-            h = stream.complex_in_disk(2.0)
-            direct = evaluate(p, z0 + h)
-            via_shift = horner_oracle(shifted, h)
-            assert abs(direct - via_shift) <= 1e-10 * (1 + abs(direct))
-
-
 class TestDividedDifference:
     def test_against_naive_quotient(self):
         stream = Stream(13)
@@ -199,6 +157,17 @@ class TestJson:
     def test_both_keys_rejected(self):
         with pytest.raises(DomainError):
             poly_from_json({"coeffs": [[1, 0]], "roots": [[1, 0]]})
+
+    @pytest.mark.parametrize("obj", [
+        [], "1", [[1]], [[1, 0, 0]], [[True, 0]], [[0, False]], [["1", 0]],
+        [[None, 0]], [[float("nan"), 0]], [[0, float("inf")]],
+    ])
+    def test_bad_pairs_rejected(self, obj):
+        # booleans and strings are not numbers, and every rejection is a
+        # DomainError
+        for key in ("coeffs", "roots"):
+            with pytest.raises(DomainError):
+                poly_from_json({key: obj})
 
 
 class TestPolyInvariants:

@@ -38,7 +38,7 @@ def test_critical_point_of_quadratic_is_midpoint():
 
 def test_double_critical_point():
     rs = critical_points(from_coeffs([0, 0, 0, 1]))  # p' = 3z^2
-    assert rs.total == 2
+    assert sum(rs.multiplicities) == 2
     assert len(rs.roots) == 1
     assert abs(rs.roots[0]) <= 1e-7
 
@@ -57,7 +57,7 @@ def test_roundtrip_random_root_sets():
             roots = random_roots(stream.derive(degree * 100 + trial), degree)
             p = from_roots(roots)
             rs = find_roots(p)
-            assert rs.total == degree
+            assert sum(rs.multiplicities) == degree
             worst = match_multisets(rs.expanded(), roots, tol=1e-6)
             scale = max(abs(r) for r in roots) + 1.0
             assert worst <= 1e-8 * scale
@@ -83,7 +83,7 @@ def test_wilkinson_lite():
 def test_full_multiplicity_cluster():
     p = from_coeffs([0] * 12 + [1])  # z^12
     rs = find_roots(p)
-    assert rs.total == 12
+    assert sum(rs.multiplicities) == 12
     assert len(rs.roots) == 1
     assert abs(rs.roots[0]) <= 1e-6
 
@@ -123,7 +123,7 @@ def test_far_critical_point_accepted_by_relative_residual():
     for s in (1007, 1566, 2232):
         p = random_normalized_poly(8, Stream(s))
         rs = critical_points(p)
-        assert rs.total == 7
+        assert sum(rs.multiplicities) == 7
         dp = derivative(p)
         ddp = derivative(dp)
         for r in rs.roots:

@@ -4,16 +4,22 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import polar, random_roots, scale_conjugate
+from conftest import (
+    higher_order_oracle,
+    polar,
+    random_roots,
+    renormalize_oracle,
+    scale_conjugate,
+)
 from smale_lab import smale
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
+    COINCIDENCE_TOL,
     derivative,
     divided_difference,
     evaluate,
     from_coeffs,
     from_roots,
-    renormalize_at,
 )
 from smale_lab.rng import Stream
 from smale_lab.rootfind import cached_critical_points
@@ -23,12 +29,10 @@ from smale_lab.smale import (
     bound_report,
     ds0,
     ds_at,
-    higher_order_quantity,
     quotients_at_zero,
     s0,
     s_at,
     sample_points,
-    smale_quotient,
 )
 
 CUBIC = from_coeffs([0, 1, 0, -1 / 3])  # z - z^3/3
@@ -45,8 +49,10 @@ def random_quadratic(st_):
 
 
 class TestQuotient:
+    # one critical point, or two at one quotient: s_at's quotient is the
+    # quotient at each of them
     def test_square(self):
-        assert smale_quotient(from_coeffs([0, 0, 1]), 2.0, 0.0) == pytest.approx(2.0)
+        assert s_at(from_coeffs([0, 0, 1]), 2.0).quotient == pytest.approx(2.0)
 
     def test_quadratic_is_distance_squared_over_gap(self):
         # P(z) - P(c) = a2 (z - c)^2 at the midpoint c, so the quotient is
@@ -58,15 +64,15 @@ class TestQuotient:
             c = (a + b) / 2
             if abs(z - c) < 1e-3:
                 continue
-            q = smale_quotient(from_roots([a, b]), z, c)
+            q = s_at(from_roots([a, b]), z).quotient
             assert q == pytest.approx(abs(z - c), rel=1e-10)
 
     def test_cubic_example(self):
-        assert smale_quotient(CUBIC, 0.0, 1.0) == pytest.approx(2 / 3, rel=1e-12)
+        assert s_at(CUBIC, 0.0).quotient == pytest.approx(2 / 3, rel=1e-12)
 
     def test_coincident_rejected(self):
         with pytest.raises(PreconditionError):
-            smale_quotient(QUAD, 1.0, 1.0 + 1e-14)
+            s_at(QUAD, 1.0 + 1e-14)
 
 
 class TestPointwise:
@@ -196,7 +202,7 @@ class TestRenormalizeBridge:
             z0 = stream.complex_in_disk(3.0)
             try:
                 expected = s_at(p, z0).ratio
-                q = renormalize_at(p, z0)
+                q = renormalize_oracle(p, z0)
                 got = s0(q).ratio
             except PreconditionError:
                 continue
@@ -241,26 +247,27 @@ class TestHigherOrder:
             c = cached_critical_points(p).roots[0]
             if abs(z - c) < 1e-3:
                 continue
-            assert higher_order_quantity(p, z, c, 2) == pytest.approx(0.25, abs=1e-10)
+            assert higher_order_oracle(p, z, c, 2) == pytest.approx(0.25, abs=1e-10)
 
     def test_cubic_k2_vanishes_at_origin(self):
-        assert higher_order_quantity(CUBIC, 0.0, 1.0, 2) == pytest.approx(0.0, abs=1e-15)
+        assert higher_order_oracle(CUBIC, 0.0, 1.0, 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_cubic_k3_frozen_value(self):
         # (|P'''(0)| / 3!) |P(0) - P(1)|^2 / |P'(0)|^3 = (2/6)(2/3)^2 = 4/27
-        val = higher_order_quantity(CUBIC, 0.0, 1.0, 3)
+        val = higher_order_oracle(CUBIC, 0.0, 1.0, 3)
         assert val == pytest.approx(4 / 27, rel=1e-12)
         assert val <= 4 ** 2
 
-    def test_order_out_of_range(self):
-        with pytest.raises(DomainError):
-            higher_order_quantity(CUBIC, 0.0, 1.0, 4)
-        with pytest.raises(DomainError):
-            higher_order_quantity(CUBIC, 0.0, 1.0, 1)
-
-    def test_non_critical_w_rejected(self):
-        with pytest.raises(PreconditionError):
-            higher_order_quantity(CUBIC, 0.0, 0.5, 2)
+    def test_bound_report_observes_the_oracle_maximum(self):
+        # bound_report computes the quantity inline, at the critical point
+        # with the nearest value, where the quantity is smallest
+        p = from_roots(random_roots(Stream(84), 5))
+        observed = {c.name: c.observed for c in bound_report(p, FAST_SAMPLER).bound_checks}
+        ws = cached_critical_points(p).roots
+        pts = sample_points(p, FAST_SAMPLER)
+        for k in range(2, 6):
+            want = max(min(higher_order_oracle(p, z, w, k) for w in ws) for z in pts)
+            assert observed[f"higher_order_k{k}"] == pytest.approx(want, rel=1e-9)
 
     def test_bound_at_nearest_value_witness(self):
         # the theorem guarantees some critical point obeys the bound for
@@ -270,17 +277,10 @@ class TestHigherOrder:
         for trial in range(40):
             p = from_roots(random_roots(stream.derive(trial), 6))
             z = stream.complex_in_disk(5.0)
-            try:
-                ws = cached_critical_points(p).roots
-                w = min(ws, key=lambda w: abs(evaluate(p, z) - evaluate(p, w)))
-            except PreconditionError:
-                continue
+            ws = cached_critical_points(p).roots
+            w = min(ws, key=lambda w: abs(evaluate(p, z) - evaluate(p, w)))
             for k in range(2, 7):
-                try:
-                    val = higher_order_quantity(p, z, w, k)
-                except PreconditionError:
-                    break
-                assert val <= 4 ** (k - 1) + 1e-9
+                assert higher_order_oracle(p, z, w, k) <= 4 ** (k - 1) + 1e-9
 
     def test_quotient_witness_can_exceed_bound(self):
         # regression instance: the quotient-minimizing witness is NOT a
@@ -297,8 +297,8 @@ class TestHigherOrder:
         ws = cached_critical_points(p).roots
         qmin = s_at(p, z).w
         vmin = min(ws, key=lambda w: abs(evaluate(p, z) - evaluate(p, w)))
-        assert higher_order_quantity(p, z, qmin, 2) > 4 + 1e-9
-        assert higher_order_quantity(p, z, vmin, 2) <= 4 + 1e-9
+        assert higher_order_oracle(p, z, qmin, 2) > 4 + 1e-9
+        assert higher_order_oracle(p, z, vmin, 2) <= 4 + 1e-9
 
 
 class TestBoundReport:
@@ -355,9 +355,13 @@ class TestDegree2Sweep:
 
 def reference_extremes(p, z):
     """(w, quotient, ratio) of the smallest and largest quotient at z, one
-    smale_quotient per critical point; ties go to the first in root order."""
+    divided_difference per critical point; ties go to the first in root order."""
     inv = 1.0 / abs(evaluate(derivative(p), z))
-    found = [(w, smale_quotient(p, z, w)) for w in cached_critical_points(p).roots]
+    found = []
+    for w in cached_critical_points(p).roots:
+        if abs(z - w) <= COINCIDENCE_TOL * max(1.0, abs(z), abs(w)):
+            raise PreconditionError(f"points coincide: z = {z!r}, w = {w!r}")
+        found.append((w, abs(divided_difference(p, z, w))))
     lo = min(found, key=lambda item: item[1])
     hi = max(found, key=lambda item: item[1])
     return [(w, q, q * inv) for w, q in (lo, hi)]
@@ -512,8 +516,6 @@ class TestQuotientKernel:
         for z in pts:
             s_at(p, z)
             ds_at(p, z)
-        w = cached_critical_points(p).roots[0]
-        higher_order_quantity(p, pts[0], w, 3)
         s0(p)
         ds0(p)
         rep = bound_report(p, FAST_SAMPLER)

@@ -162,6 +162,16 @@ class TestExactQuotients:
             assert not res.strong_dual_violated
             assert res == elementwise_exact([a, b], z, pools)
 
+    @pytest.mark.parametrize("roots,z,pools", [
+        ([[1 + 0j], [-1 + 0j]], [0j], [[1e-3 + 0j]]),
+        ([[1 + 0j, 2 + 0j], [-1 + 0j, 0j]], [0j, 1 + 0j], [[1e-3 + 0j], [1 + 1e-3j]]),
+    ])
+    def test_critical_z_is_precondition_error(self, roots, z, pools):
+        # P'(z) = 0 in every coordinate leaves every ratio a zero
+        # denominator, although z is on no element of the pools' product
+        with pytest.raises(PreconditionError, match="zero in every coordinate"):
+            exact_cstar_quotients(roots, z, pools)
+
     def test_matches_elementwise_oracle(self):
         # exact rationals do not depend on the order of evaluation, so the
         # per-coordinate rows give == what the element-wise loop gives, and
