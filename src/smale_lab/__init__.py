@@ -10,7 +10,6 @@ from .errors import (
     SmaleLabError,
 )
 from .polycore import from_coeffs, from_roots
-from .rootfind import RootFindConfig
 from .smale import SampleConfig, bound_report, ds0, ds_at, s0, s_at
 from .cstar import CStarElement, CStarPoly, check_smale
 from .dynamics import OrbitConfig, mlp_check
@@ -22,7 +21,6 @@ __all__ = [
     "DomainError",
     "OrbitConfig",
     "PreconditionError",
-    "RootFindConfig",
     "RootFindError",
     "SampleConfig",
     "SearchConfig",

@@ -33,7 +33,7 @@ from .report import (
     scalar_report_to_json,
     search_state_to_json,
 )
-from .rootfind import RootFindConfig, cached_critical_points
+from .rootfind import cached_critical_points
 from .search import (
     SearchConfig,
     hunt_mlp,
@@ -86,13 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 42, or SMALE_LAB_SEED)")
         sp.add_argument("--out", type=str, default=None, help="report output path (default stdout)")
 
-    def hunt_knobs(sp):
-        # None when unset: the library default applies, and s0/ds0 reject a given knob
-        sp.add_argument("--step-tol", type=float, help=f"root iteration relative step tolerance (default {RootFindConfig.step_tol})")
-        sp.add_argument("--max-iters", type=int, help=f"max root iteration sweeps (default {RootFindConfig.max_iters})")
-        sp.add_argument("--cluster-tol", type=float, help="root clustering distance (default 1e-7 x Cauchy bound)")
-        sp.add_argument("--jobs", type=_count, help="worker cap for trial loops (default 1)")
-
     sp = sub.add_parser("analyze", help="quotient statistics and theorem bounds for one polynomial")
     sp.add_argument("--poly", required=True, help='polynomial as JSON: {"coeffs": [[re,im],...]} or {"roots": ...}')
     sp.add_argument("--normalized", action="store_true", help="require p(0)=0, p'(0)=1 and report the normalized quantities")
@@ -105,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=_count, required=True)
     sp.add_argument("--strong", action="store_true", help="also check the operator-order strong forms")
     common(sp)
-    hunt_knobs(sp)
 
     sp = sub.add_parser("search", help="extremal search / counterexample hunt")
     sp.add_argument("--mode", choices=("s0", "ds0", "cstar"), required=True)
@@ -115,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=_count, help="cstar mode: hunt trials (default 1000)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
-    hunt_knobs(sp)
 
     sp = sub.add_parser("dynamics", help="critical orbit checks")
     group = sp.add_mutually_exclusive_group(required=True)
@@ -131,17 +122,6 @@ def _parse_poly(raw: str) -> Poly:
     except json.JSONDecodeError as exc:
         raise SmaleLabError(f"--poly is not valid JSON: {exc}") from exc
     return poly_from_json(obj)
-
-
-_ROOT_KNOBS = ("step_tol", "max_iters", "cluster_tol")
-
-
-def _hunt_knobs(ns) -> dict:
-    given = {k: getattr(ns, k) for k in _ROOT_KNOBS if getattr(ns, k) is not None}
-    return {
-        "rootcfg": RootFindConfig(**given),
-        "jobs": 1 if ns.jobs is None else ns.jobs,
-    }
 
 
 def _normalized_certificate(kind, p: Poly, seed, key, value, slack) -> Certificate | None:
@@ -193,14 +173,7 @@ def _cmd_analyze(ns, seed: int) -> Outcome:
 
 
 def _cmd_cstar(ns, seed: int) -> Outcome:
-    result = run_hunt(
-        ns.degree,
-        ns.dim,
-        ns.trials,
-        SearchConfig(seed=seed),
-        strong=ns.strong,
-        **_hunt_knobs(ns),
-    )
+    result = run_hunt(ns.degree, ns.dim, ns.trials, SearchConfig(seed=seed), strong=ns.strong)
     body = {
         "model": f"C({ns.dim} points)",
         "degree": ns.degree,
@@ -213,7 +186,7 @@ def _cmd_cstar(ns, seed: int) -> Outcome:
 
 
 # the optional search flags each mode reads (None when unset); a mode rejects the others
-_SEARCH_OPTIONS = {"s0": ("restarts",), "ds0": ("restarts",), "cstar": ("dim", "trials", *_ROOT_KNOBS, "jobs")}
+_SEARCH_OPTIONS = {"s0": ("restarts",), "ds0": ("restarts",), "cstar": ("dim", "trials")}
 
 
 def _cmd_search(ns, seed: int) -> Outcome:
@@ -228,7 +201,7 @@ def _cmd_search(ns, seed: int) -> Outcome:
     if ns.mode == "cstar":
         dim = 1 if ns.dim is None else ns.dim
         trials = 1000 if ns.trials is None else ns.trials
-        result = run_hunt(n, dim, trials, SearchConfig(seed=seed), **_hunt_knobs(ns))
+        result = run_hunt(n, dim, trials, SearchConfig(seed=seed))
         certificates = result.certificates
         k, best, bound = dim, result.stats.worst_min_ratio, (n - 1) / n
         body = {

@@ -28,7 +28,7 @@ from .polycore import (
     require_finite,
     sum_of_products_derivative,
 )
-from .rootfind import RootFindConfig, RootSet, critical_points
+from .rootfind import RootSet, critical_points
 from .smale import CONJ_SLACK
 
 
@@ -148,16 +148,14 @@ def _telescoped_difference(roots, zt: complex, wt: complex) -> complex:
     return acc * (zt - wt)
 
 
-def enumerate_critical_set(
-    P: CStarPoly, cfg: RootFindConfig = RootFindConfig()
-) -> CriticalSet:
+def enumerate_critical_set(P: CStarPoly) -> CriticalSet:
     """Critical elements of P as the product of coordinate critical sets.
 
     The derivative vanishes as an algebra element exactly when it vanishes
     in every coordinate, so each coordinate contributes its scalar critical
     points independently.
     """
-    per_coord = tuple(critical_points(p, cfg) for p in P.coordinate_polys)
+    per_coord = tuple(critical_points(p) for p in P.coordinate_polys)
     return CriticalSet(per_coord, math.prod(len(rs.roots) for rs in per_coord))
 
 

@@ -23,12 +23,13 @@ _LEAD_MIN = 1e-30
 
 _POLISH_STEPS = 5  # Newton steps per root, each kept only if it lowers |p|
 
+_STEP_TOL = 1e-14  # a sweep whose largest relative step is this small ends the iteration
+_MAX_ITERS = 200  # Aberth sweeps before the residual check decides
 
-@dataclass(frozen=True)
-class RootFindConfig:
-    step_tol: float = 1e-14
-    max_iters: int = 200
-    cluster_tol: float | None = None  # None: 1e-7 * Cauchy bound
+# iterates closer than this times max(1, largest |iterate|) are one root; the
+# roots' own scale, since the Cauchy bound of a derivative of degree 30 with
+# roots in |z| <= 2 is about 10^6 times larger
+_CLUSTER_REL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,10 @@ def _horner_pair(coeffs, z):
     return acc, dacc
 
 
-def _aberth_sweeps(monic, guesses, cfg, radius):
+def _aberth_sweeps(monic, guesses, radius):
     zs = list(guesses)
     n = len(zs)
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         max_step = 0.0
         for j in range(n):
             z = zs[j]
@@ -86,7 +87,7 @@ def _aberth_sweeps(monic, guesses, cfg, radius):
             rel = abs(step) / (1.0 + abs(zs[j]))
             if rel > max_step:
                 max_step = rel
-        if max_step <= cfg.step_tol:
+        if max_step <= _STEP_TOL:
             break
     return zs
 
@@ -129,12 +130,14 @@ def _cluster(points, tol):
     return list(groups.values())
 
 
-def find_roots(p: Poly, cfg: RootFindConfig = RootFindConfig()) -> RootSet:
+def find_roots(p: Poly) -> RootSet:
     """All roots of p, clustered into multiplicities.
 
+    Polished iterates closer than 1e-7 * max(1, largest |iterate|) merge
+    into one root.
     Raises RootFindError (with the best iterates and residuals attached)
-    if the iteration stalls and the stalled points are not acceptable
-    roots by the residual criterion.
+    if the iteration diverges, or stalls at points that are not
+    acceptable roots by the residual criterion.
     """
     n = p.degree
     if n < 1:
@@ -154,11 +157,16 @@ def find_roots(p: Poly, cfg: RootFindConfig = RootFindConfig()) -> RootSet:
     guesses = [
         radius * cmath.exp(1j * (two_pi * j / n + _INIT_PHASE)) for j in range(n)
     ]
-    zs = _aberth_sweeps(monic, guesses, cfg, radius)
+    zs = _aberth_sweeps(monic, guesses, radius)
     zs = [_polish(p.coeffs, z) for z in zs]
+    if not all(cmath.isfinite(z) for z in zs):
+        raise RootFindError(
+            f"root iteration diverged from the start circle of radius {radius:.3e}",
+            roots=zs,
+            residuals=[abs(_horner_pair(p.coeffs, z)[0]) for z in zs],
+        )
 
-    tol = cfg.cluster_tol if cfg.cluster_tol is not None else 1e-7 * radius
-    clusters = _cluster(zs, tol)
+    clusters = _cluster(zs, _CLUSTER_REL * max(1.0, max(abs(z) for z in zs)))
 
     reps = []
     for members in clusters:
@@ -173,7 +181,7 @@ def find_roots(p: Poly, cfg: RootFindConfig = RootFindConfig()) -> RootSet:
     for r, res, bound in zip(roots, residuals, root_residual_bounds(p, roots)):
         if res > bound:
             raise RootFindError(
-                f"root iteration did not converge within {cfg.max_iters} sweeps "
+                f"root iteration did not converge within {_MAX_ITERS} sweeps "
                 f"(residual {res:.3e} > {bound:.3e} at |r| = {abs(r):.3e})",
                 roots=roots,
                 residuals=residuals,
@@ -181,14 +189,14 @@ def find_roots(p: Poly, cfg: RootFindConfig = RootFindConfig()) -> RootSet:
     return RootSet(roots, mults, residuals)
 
 
-def critical_points(p: Poly, cfg: RootFindConfig = RootFindConfig()) -> RootSet:
+def critical_points(p: Poly) -> RootSet:
     """Roots of p', counted with multiplicity (degree(p) - 1 in total)."""
     if p.degree < 2:
         raise DomainError("critical points need degree >= 2")
-    return find_roots(derivative(p), cfg)
+    return find_roots(derivative(p))
 
 
 @lru_cache(maxsize=1024)
 def cached_critical_points(p: Poly) -> RootSet:
-    """critical_points with the default config, memoized on the Poly."""
+    """critical_points, memoized on the Poly."""
     return critical_points(p)

@@ -28,7 +28,7 @@ from .dynamics import OrbitConfig, OrbitResult, mlp_check
 from .errors import DomainError, PreconditionError, SmaleLabError
 from .polycore import CRITICAL_TOL, Poly, from_coeffs, monic_coeffs, poly_to_json
 from .rng import Stream
-from .rootfind import RootFindConfig, cached_critical_points
+from .rootfind import cached_critical_points
 from .smale import CONJ_SLACK, SAMPLER_MARGIN, quotients_at_zero
 from .verify import Certificate, confirm_normalized, exact_cstar_quotients
 
@@ -217,13 +217,13 @@ class HuntResult:
     stats: HuntStats
 
 
-def _draw_cstar_instance(st: Stream, n: int, k: int, rootcfg: RootFindConfig):
+def _draw_cstar_instance(st: Stream, n: int, k: int):
     roots = tuple(
         CStarElement(tuple(st.complex_in_disk(_ROOT_DRAW_RADIUS) for _ in range(k)))
         for _ in range(n)
     )
     P = CStarPoly(roots)
-    crit = enumerate_critical_set(P, rootcfg)
+    crit = enumerate_critical_set(P)
     radius = 2.0 * (
         1.0 + max(abs(c) for r in roots for c in r.coords)
     )
@@ -247,9 +247,9 @@ def _hunt_trial(args):
     """One hunt trial; pure function of its arguments, safe to parallelize.
     None (a skipped trial) means the draw found no admissible z; errors,
     root-find failures included, propagate."""
-    stream_key, trial, n, k, strong, rootcfg, seed = args
+    stream_key, trial, n, k, strong, seed = args
     st = Stream.from_key(stream_key).derive(trial)
-    P, crit, z = _draw_cstar_instance(st, n, k, rootcfg)
+    P, crit, z = _draw_cstar_instance(st, n, k)
     if z is None:
         return None
     verdict = check_strong_forms(P, z, crit)
@@ -312,7 +312,6 @@ def run_hunt(
     trials: int,
     cfg: SearchConfig = SearchConfig(),
     strong: bool = True,
-    rootcfg: RootFindConfig = RootFindConfig(),
     jobs: int = 1,
 ) -> HuntResult:
     """Randomized conjecture sweep over algebra polynomials.
@@ -332,7 +331,7 @@ def run_hunt(
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     stream_key = Stream(cfg.seed, _STREAM_HUNT).derive(n).derive(k).key
-    work = [(stream_key, t, n, k, strong, rootcfg, cfg.seed) for t in range(trials)]
+    work = [(stream_key, t, n, k, strong, cfg.seed) for t in range(trials)]
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -20,7 +20,7 @@ still sees a violation at half the float slack.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .cstar import product_extremes
@@ -203,12 +203,4 @@ class Certificate:
     data: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "dim": self.dim,
-            "trial": self.trial,
-            "seed": self.seed,
-            "confirmed": self.confirmed,
-            "data": self.data,
-        }
+        return asdict(self)

@@ -1,10 +1,10 @@
 import pytest
 
 from conftest import match_multisets, random_roots
-from smale_lab.errors import DomainError
+from smale_lab.errors import DomainError, RootFindError
 from smale_lab.polycore import evaluate, from_coeffs, from_roots
 from smale_lab.rng import Stream
-from smale_lab.rootfind import RootFindConfig, critical_points, find_roots
+from smale_lab.rootfind import critical_points, find_roots
 
 
 def test_linear():
@@ -88,15 +88,27 @@ def test_full_multiplicity_cluster():
     assert abs(rs.roots[0]) <= 1e-6
 
 
-def test_cluster_tol_override():
-    # two roots separated by 1e-4 stay distinct at the default tolerance
-    p = from_roots([0.5, 0.5 + 1e-4])
-    rs = find_roots(p)
+def test_close_roots_stay_distinct():
+    # two roots separated by 1e-4 stay distinct at the clustering tolerance
+    rs = find_roots(from_roots([0.5, 0.5 + 1e-4]))
     assert len(rs.roots) == 2
-    # but merge when the caller asks for coarse clustering
-    merged = find_roots(p, RootFindConfig(cluster_tol=1e-3))
-    assert len(merged.roots) == 1
-    assert merged.multiplicities == (2,)
+
+
+def test_clustering_follows_the_roots_not_the_cauchy_bound():
+    # P' has Cauchy bound 2.5e6, and clustering within 1e-7 of it (0.25)
+    # merged distinct critical points, the closest 0.15 apart, into a mean
+    # that fails the residual check
+    st = Stream(45, 5)
+    p = from_roots([st.complex_in_disk(2.0) for _ in range(30)])
+    assert critical_points(p).multiplicities == (1,) * 29
+
+
+def test_diverged_iteration_is_a_root_find_error():
+    # roots at |z| ~ 2.15, but the start circle has the Cauchy radius 1e20,
+    # where the iterates overflow
+    with pytest.raises(RootFindError, match="diverged") as info:
+        find_roots(from_coeffs([1] + [0] * 59 + [1e-20]))
+    assert len(info.value.roots) == 60
 
 
 def test_order_is_lexicographic():

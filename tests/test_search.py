@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import convolve_oracle, polar
-from smale_lab import polycore, search, simplex
+from smale_lab import polycore, rootfind, search, simplex
 from smale_lab.errors import (
     DomainError,
     PreconditionError,
@@ -20,7 +20,6 @@ from smale_lab.polycore import (
     is_normalized,
 )
 from smale_lab.rng import Stream
-from smale_lab.rootfind import RootFindConfig
 from smale_lab.search import (
     SearchConfig,
     _normalized_extremes,
@@ -288,22 +287,22 @@ class TestHunt:
         assert a.stats == b.stats
         assert a.certificates == b.certificates
 
-    def test_one_enumeration_per_trial_with_the_callers_config(self, monkeypatch):
+    def test_one_enumeration_per_trial(self, monkeypatch):
         # the verdict and the certificate witnesses come from the one set
-        # each trial enumerates, so every root find uses the trial's config
+        # each trial enumerates: one root find per coordinate per trial
         from smale_lab import cstar
 
         seen = []
         real = cstar.critical_points
 
-        def spy(p, cfg=RootFindConfig()):
-            seen.append(cfg.max_iters)
-            return real(p, cfg)
+        def spy(p):
+            seen.append(p)
+            return real(p)
 
         monkeypatch.setattr(cstar, "critical_points", spy)
-        res = run_hunt(4, 3, 5, SearchConfig(seed=1), rootcfg=RootFindConfig(max_iters=7))
+        res = run_hunt(4, 3, 5, SearchConfig(seed=1))
         assert res.stats.trials_run == 5
-        assert seen == [7] * (3 * 5)
+        assert len(seen) == 3 * 5
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trial_count_below_one_rejected(self, trials):
@@ -316,11 +315,11 @@ class TestHunt:
             run_hunt(n, k, 5, SearchConfig(seed=1))
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_root_find_failure_is_raised_not_skipped(self, jobs):
+    def test_root_find_failure_is_raised_not_skipped(self, jobs, monkeypatch):
         # one Aberth sweep leaves some trials' critical points unconverged
-        cfg, rootcfg = SearchConfig(seed=1), RootFindConfig(max_iters=1)
+        monkeypatch.setattr(rootfind, "_MAX_ITERS", 1)
         with pytest.raises(RootFindError):
-            run_hunt(3, 2, 20, cfg, rootcfg=rootcfg, jobs=jobs)
+            run_hunt(3, 2, 20, SearchConfig(seed=1), jobs=jobs)
 
     def test_skips_count_draws_without_an_admissible_point(self, monkeypatch):
         # a margin wider than every sampling disk admits no z at all
