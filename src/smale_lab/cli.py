@@ -47,9 +47,9 @@ from .verify import Certificate, confirm_normalized
 
 DEFAULT_SEED = 42
 
-# what a subcommand handler returns to run: its kind-specific report body,
-# its certificates, and the CSV text that replaces the JSON report, or None
-Outcome = tuple[dict, Sequence[Certificate], str | None]
+# what a subcommand handler returns to run: its kind-specific report body
+# and its certificates
+Outcome = tuple[dict, Sequence[Certificate]]
 
 
 def _default_seed() -> int:
@@ -99,13 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strong", action="store_true", help="also check the operator-order strong forms")
     common(sp)
 
-    sp = sub.add_parser("search", help="extremal search / counterexample hunt")
-    sp.add_argument("--mode", choices=("s0", "ds0", "cstar"), required=True)
+    sp = sub.add_parser("search", help="extremal search")
+    sp.add_argument("--mode", choices=("s0", "ds0"), required=True)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--dim", type=int, help="cstar mode: number of Gelfand points (default 1)")
-    sp.add_argument("--restarts", type=_count, help=f"s0/ds0 modes: search restarts (default {SearchConfig.restarts})")
-    sp.add_argument("--trials", type=_count, help="cstar mode: hunt trials (default 1000)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--restarts", type=_count, default=SearchConfig.restarts,
+                    help=f"search restarts (default {SearchConfig.restarts})")
     common(sp)
 
     sp = sub.add_parser("dynamics", help="critical orbit checks")
@@ -125,8 +123,9 @@ def _parse_poly(raw: str) -> Poly:
 
 
 def _normalized_certificate(kind, p: Poly, seed, key, value, slack) -> Certificate | None:
-    """An exact-checked s0_sharp or ds0_dual certificate for normalized p,
-    or None when value lies within slack of the conjectured (n-1)/n or 1/n."""
+    """An exact-confirmed s0_sharp or ds0_dual certificate for normalized p,
+    or None when value lies within slack of the conjectured (n-1)/n or 1/n
+    or the exact re-check refutes it."""
     n = p.degree
     if kind == "s0_sharp":
         bound, exact_key = Fraction(n - 1, n), "exact_min_ratio_sq"
@@ -139,13 +138,15 @@ def _normalized_certificate(kind, p: Poly, seed, key, value, slack) -> Certifica
     ratio_sq, confirmed = confirm_normalized(
         kind, p.coeffs, cached_critical_points(p).roots, bound
     )
+    if not confirmed:
+        return None
     return Certificate(
         kind=kind,
         degree=n,
         dim=1,
         trial=0,
         seed=seed,
-        confirmed=confirmed,
+        confirmed=True,
         data={"poly": poly_payload(p), key: value, exact_key: ratio_sq},
     )
 
@@ -160,7 +161,7 @@ def _cmd_analyze(ns, seed: int) -> Outcome:
     if rep.s0 is not None and rep.ds0 is not None:
         for kind, key, value in (("s0_sharp", "s0", rep.s0), ("ds0_dual", "ds0", rep.ds0)):
             cert = _normalized_certificate(kind, p, seed, key, value, CONJ_SLACK)
-            if cert is not None and cert.confirmed:
+            if cert is not None:
                 certificates.append(cert)
 
     body = {
@@ -169,7 +170,7 @@ def _cmd_analyze(ns, seed: int) -> Outcome:
         "normalized": is_normalized(p),
         "report": scalar_report_to_json(rep),
     }
-    return body, certificates, None
+    return body, certificates
 
 
 def _cmd_cstar(ns, seed: int) -> Outcome:
@@ -182,57 +183,30 @@ def _cmd_cstar(ns, seed: int) -> Outcome:
         "strong": ns.strong,
         "stats": asdict(result.stats),
     }
-    return body, result.certificates, None
-
-
-# the optional search flags each mode reads (None when unset); a mode rejects the others
-_SEARCH_OPTIONS = {"s0": ("restarts",), "ds0": ("restarts",), "cstar": ("dim", "trials")}
+    return body, result.certificates
 
 
 def _cmd_search(ns, seed: int) -> Outcome:
     n = ns.degree
-    foreign = [
-        "--" + key.replace("_", "-")
-        for key in ("restarts", *_SEARCH_OPTIONS["cstar"])
-        if key not in _SEARCH_OPTIONS[ns.mode] and getattr(ns, key) is not None
-    ]
-    if foreign:
-        raise SmaleLabError(f"--mode {ns.mode} does not take {', '.join(foreign)}")
-    if ns.mode == "cstar":
-        dim = 1 if ns.dim is None else ns.dim
-        trials = 1000 if ns.trials is None else ns.trials
-        result = run_hunt(n, dim, trials, SearchConfig(seed=seed))
-        certificates = result.certificates
-        k, best, bound = dim, result.stats.worst_min_ratio, (n - 1) / n
-        body = {
-            "dim": dim,
-            "trials": trials,
-            "worst_min_ratio": result.stats.worst_min_ratio,
-            "worst_max_ratio": result.stats.worst_max_ratio,
-        }
+    scfg = SearchConfig(restarts=ns.restarts, seed=seed)
+    if ns.mode == "s0":
+        state = search_extremal_s0(n, scfg)
+        bound, kind = (n - 1) / n, "s0_sharp"
     else:
-        scfg = SearchConfig(seed=seed) if ns.restarts is None else SearchConfig(restarts=ns.restarts, seed=seed)
-        if ns.mode == "s0":
-            state = search_extremal_s0(n, scfg)
-            k, best, bound, kind = 1, state.objective, (n - 1) / n, "s0_sharp"
-        else:
-            state = search_extremal_ds0(n, scfg)
-            k, best, bound, kind = 1, state.objective, 1.0 / n, "ds0_dual"
-        # beyond the conjectured value the searched extreme is a candidate finding
-        cert = _normalized_certificate(
-            kind, state.best_poly, seed, "objective", state.objective, 1e-6
-        )
-        certificates = [] if cert is None else [cert]
-        body = {
-            "restarts": scfg.restarts,
-            "conjectured_value": bound,
-            "state": search_state_to_json(state),
-        }
-    body.update(mode=ns.mode, degree=n)
-    csv = None
-    if ns.format == "csv":
-        csv = f"n,k,best_value,bound,pass\n{n},{k},{best:.17g},{bound:.17g},{not certificates}\n"
-    return body, certificates, csv
+        state = search_extremal_ds0(n, scfg)
+        bound, kind = 1.0 / n, "ds0_dual"
+    # beyond the conjectured value the searched extreme is a candidate finding
+    cert = _normalized_certificate(
+        kind, state.best_poly, seed, "objective", state.objective, 1e-6
+    )
+    body = {
+        "mode": ns.mode,
+        "degree": n,
+        "restarts": scfg.restarts,
+        "conjectured_value": bound,
+        "state": search_state_to_json(state),
+    }
+    return body, [] if cert is None else [cert]
 
 
 def _cmd_dynamics(ns, seed: int) -> Outcome:
@@ -248,7 +222,7 @@ def _cmd_dynamics(ns, seed: int) -> Outcome:
             "orbits": [{**asdict(r), "w0": complex_pair(r.w0)} for r in runs],
         }
         certificates = [] if ok else [mlp_certificate(p, res, 0, seed)]
-        return body, certificates, None
+        return body, certificates
 
     try:
         deg_text, trials_text = ns.random_sweep.split(",")
@@ -260,7 +234,7 @@ def _cmd_dynamics(ns, seed: int) -> Outcome:
         raise SmaleLabError(f"--random-sweep TRIALS must be at least 1, got {trials}")
     certs, passed = hunt_mlp(degree, trials, seed=seed, cfg=ocfg)
     body = {"sweep_degree": degree, "trials": trials, "passed": passed}
-    return body, certs, None
+    return body, certs
 
 
 _COMMANDS = {
@@ -289,7 +263,7 @@ def run(argv) -> int:
     start = time.monotonic()
     try:
         seed = ns.seed if ns.seed is not None else _default_seed()
-        body, certificates, text = _COMMANDS[ns.subcommand](ns, seed)
+        body, certificates = _COMMANDS[ns.subcommand](ns, seed)
     except SmaleLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -299,8 +273,7 @@ def run(argv) -> int:
         certificates=[c.to_json() for c in certificates],
         wall_time_s=time.monotonic() - start,
     )
-    if text is None:
-        text = dumps(body) + "\n"
+    text = dumps(body) + "\n"
     if ns.out:
         try:
             with open(ns.out, "w", encoding="utf-8") as fh:

@@ -105,10 +105,8 @@ class CriticalSet:
 class CStarVerdict:
     """Outcome of the quotient checks at one sample point."""
 
-    z: CStarElement
     min_ratio: float
     max_ratio: float
-    weak_pass: bool
     sharp_pass: bool
     dual_pass: bool
     strong_smale_pass: bool | None = None
@@ -250,10 +248,8 @@ def _check(
     # CStarPoly has degree >= 2, so every table has a row
     min_ratio, max_ratio = product_extremes(tables, dnorm)
     return CStarVerdict(
-        z=z,
         min_ratio=min_ratio,
         max_ratio=max_ratio,
-        weak_pass=min_ratio <= 1.0 + CONJ_SLACK,
         sharp_pass=min_ratio <= (n - 1) / n + CONJ_SLACK,
         dual_pass=max_ratio >= 1.0 / n - CONJ_SLACK,
         strong_smale_pass=strong_smale if strong else None,

@@ -155,26 +155,22 @@ class TestSearch:
         assert data["state"]["objective"] == pytest.approx(2 / 3, abs=1e-3)
         load_schema_validator()(data)
 
-    def test_csv_format(self):
-        proc = run_cli(
-            "search", "--mode", "ds0", "--degree", "2", "--restarts", "6",
-            "--format", "csv",
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.strip().splitlines()
-        assert lines[0] == "n,k,best_value,bound,pass"
-        fields = lines[1].split(",")
-        assert fields[0] == "2"
-        assert float(fields[2]) == pytest.approx(0.5, abs=1e-6)
+    def test_refuted_candidate_is_no_certificate(self, monkeypatch, capsys):
+        # a float objective beyond (n-1)/n is only a candidate: here the
+        # exact minimum ratio^2 of z - z^3/3 is 4/9, at the conjectured
+        # value, so the exact re-check refutes it and no certificate is made
+        from smale_lab import cli
+        from smale_lab.polycore import from_coeffs
+        from smale_lab.search import SearchState
 
-    def test_cstar_mode(self):
-        proc = run_cli(
-            "search", "--mode", "cstar", "--degree", "2", "--dim", "2",
-            "--trials", "50",
-        )
-        assert proc.returncode == 0, proc.stderr
-        data = json.loads(proc.stdout)
+        p = from_coeffs([0, 1, 0, -1 / 3])
+        state = SearchState(params=(), objective=0.7, best_poly=p, restarts_done=1, table=())
+        monkeypatch.setattr(cli, "search_extremal_s0", lambda n, cfg: state)
+        code = cli.run(["search", "--mode", "s0", "--degree", "3", "--seed", "1"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
         assert data["certificates"] == []
+        assert data["state"]["objective"] == 0.7
         load_schema_validator()(data)
 
 
@@ -239,59 +235,57 @@ class TestContract:
         ["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--format", "csv"],
         ["cstar", "--degree", "2", "--dim", "2", "--trials", "3", "--format", "csv"],
         ["dynamics", "--random-sweep", "2,3", "--format", "csv"],
-        *(argv + [flag, value]
-          for argv in (["cstar", "--degree", "2", "--dim", "2", "--trials", "3"],
-                       ["search", "--mode", "cstar", "--degree", "2", "--trials", "3"])
+        *(["cstar", "--degree", "2", "--dim", "2", "--trials", "3", flag, value]
           for flag, value in (("--step-tol", "1e-6"), ("--max-iters", "1"),
                               ("--cluster-tol", "0.1"), ("--jobs", "2"))),
+        ["search", "--mode", "s0", "--degree", "2", "--format", "csv"],
+        ["search", "--mode", "ds0", "--degree", "2", "--format", "json"],
     ])
     def test_root_knobs_only_where_they_reach_code(self, argv, capsys):
         # the root finder's tolerances and the hunt's worker count are not
-        # settable from the command line; only search has a csv form, so
-        # only search accepts --format
+        # settable from the command line, and every report is JSON, so no
+        # subcommand takes --format
         from smale_lab import cli
 
         assert cli.run(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,mode", [
-        *((flag, value, mode) for flag, value in [
+        (flag, value, mode) for flag, value in [
             ("--step-tol", "1e-6"),
             ("--max-iters", "1"),
             ("--cluster-tol", "0.1"),
             ("--jobs", "4"),
             ("--dim", "5"),
             ("--trials", "7"),
-        ] for mode in ("ds0", "s0")),
-        ("--restarts", "99", "cstar"),
+        ] for mode in ("ds0", "s0")
     ])
     def test_extremal_search_rejects_hunt_knobs(self, flag, value, mode, capsys):
-        # the extremal searches never run the hunt and the hunt never
-        # restarts, so a flag the mode does not read would be silently
-        # ignored; no mode takes the root-finding flags or --jobs
+        # the extremal searches never run the hunt, so search takes none of
+        # its flags, nor the root-finding flags
         from smale_lab import cli
 
-        argv = ["search", "--mode", mode, "--degree", "3", flag, value]
-        if mode != "cstar":
-            argv += ["--restarts", "2"]  # a fast search if the flag were accepted
+        # --restarts 2: a fast search if the flag were accepted
+        argv = ["search", "--mode", mode, "--degree", "3", flag, value, "--restarts", "2"]
         assert cli.run(argv) == 1
-        err = capsys.readouterr().err
-        if flag in ("--dim", "--trials", "--restarts"):
-            assert err == f"error: --mode {mode} does not take {flag}\n"
-        else:
-            assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {flag} {value}\n"
+        )
+
+    def test_search_has_no_hunt_mode(self, capsys):
+        # the C^k hunt runs only as the cstar subcommand
+        from smale_lab import cli
+
+        assert cli.run(["search", "--mode", "cstar", "--degree", "2"]) == 1
+        assert "invalid choice: 'cstar'" in capsys.readouterr().err
 
     def test_search_defaults_apply_where_read(self, tmp_path):
-        # unset, --restarts is SearchConfig's 64 for s0/ds0 and the hunt
-        # runs --dim 1 with --trials 1000
+        # unset, --restarts is SearchConfig's 64
         from smale_lab import cli
 
         out = tmp_path / "r.json"
         assert cli.run(["search", "--mode", "s0", "--degree", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["restarts"] == 64
-        assert cli.run(["search", "--mode", "cstar", "--degree", "2", "--out", str(out)]) == 0
-        body = json.loads(out.read_text())
-        assert (body["dim"], body["trials"]) == (1, 1000)
 
     @pytest.mark.parametrize("argv,flag", [
         (["analyze", "--poly", '{"roots":[[0,0],[2,0]]}', "--samples", "0"], "--samples"),
@@ -300,7 +294,6 @@ class TestContract:
         (["cstar", "--degree", "3", "--dim", "2", "--trials", "0"], "--trials"),
         (["search", "--mode", "s0", "--degree", "3", "--restarts", "0"], "--restarts"),
         (["search", "--mode", "ds0", "--degree", "3", "--restarts", "-2"], "--restarts"),
-        (["search", "--mode", "cstar", "--degree", "2", "--trials", "0"], "--trials"),
         (["dynamics", "--random-sweep", "3,-2"], "--random-sweep"),
         (["dynamics", "--random-sweep", "3,0"], "--random-sweep"),
     ])

@@ -195,7 +195,7 @@ class TestCheckSmale:
                 continue
             assert v.min_ratio == pytest.approx(0.5, abs=1e-9)
             assert v.max_ratio == pytest.approx(0.5, abs=1e-9)
-            assert v.sharp_pass and v.dual_pass and v.weak_pass
+            assert v.sharp_pass and v.dual_pass
 
     def test_k1_reduction_to_scalar(self):
         stream = Stream(96)

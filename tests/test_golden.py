@@ -39,8 +39,6 @@ CASES = [
     ("search_ds0", ["search", "--mode", "ds0", "--degree", "4", "--restarts", "8"], 0),
     ("cstar_strong", ["cstar", "--degree", "3", "--dim", "2", "--trials", "100",
                       "--strong"], 0),
-    ("search_cstar", ["search", "--mode", "cstar", "--degree", "3", "--dim", "2",
-                      "--trials", "50"], 0),
     ("dynamics_poly", ["dynamics", "--poly", '{"coeffs":[[0,0],[1,0],[-0.5,0]]}'], 0),
     # z - z^3/3: two petals (m = 2), each critical orbit proven in one step
     ("dynamics_poly_cubic", ["dynamics", "--poly",
