@@ -294,6 +294,7 @@ class TestContract:
         (["cstar", "--degree", "3", "--dim", "2", "--trials", "0"], "--trials"),
         (["search", "--mode", "s0", "--degree", "3", "--restarts", "0"], "--restarts"),
         (["search", "--mode", "ds0", "--degree", "3", "--restarts", "-2"], "--restarts"),
+        (["cstar", "--strong", "--degree", "2", "--dim", "1", "--trials", "0"], "--trials"),
         (["dynamics", "--random-sweep", "3,-2"], "--random-sweep"),
         (["dynamics", "--random-sweep", "3,0"], "--random-sweep"),
     ])
