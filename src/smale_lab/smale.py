@@ -10,7 +10,9 @@ quantities:
 * the maximized quotient, whose infimum over z is estimated from above
   (bounded below by |P'(z)| / (n 4^n), conjecturally by |P'(z)| / n).
 
-Sampling estimates are one-sided by construction and reported as such.
+Sampling estimates are one-sided by construction and reported as such.  The
+minimized side is refined by simplex search; the maximized side's ratio tends
+to 1/n as |z| grows, so its estimate is the sampled minimum capped at 1/n.
 Each polynomial has one cached kernel (``_kernel``) holding P', its critical
 threshold and its critical points, which every entry point reads; it scans
 all critical points at a point z in a single pass.  The kernel keeps its
@@ -100,7 +102,7 @@ class ScalarReport:
     witnesses: tuple[QuotientWitness, ...]
     bound_checks: tuple[BoundCheck, ...]
     s_argmax_z: complex | None = None
-    ds_argmin_z: complex | None = None
+    ds_argmin_z: complex | None = None  # None: ds_estimate is the limit 1/n
 
     @property
     def all_theorems_pass(self) -> bool:
@@ -276,27 +278,23 @@ def sample_points(p: Poly, sampler: SampleConfig) -> list[complex]:
     return pts
 
 
-def _refined(kernel: _QuotientKernel, scored, maximize: bool, sampler: SampleConfig):
-    """Best sampled (value, z, witness), then simplex refinement of the ratio
-    surface from the top starts.
+def _refined(kernel: _QuotientKernel, scored, sampler: SampleConfig):
+    """Best sampled (value, z, witness) of the minimized quotient, then
+    simplex refinement of its ratio surface from the top starts.
 
     ``scored`` holds (ratio, z, witness) best first.  A refined point wins
-    only when strictly better, so ties keep the sampled point, then the
-    earliest start.  Maximizing refines the smallest quotient at each z,
-    minimizing the largest.
+    only when strictly larger, so ties keep the sampled point, then the
+    earliest start.
     """
     # imported on first use: callers that never refine skip its load time
     from .simplex import nelder_mead
-
-    pick = min if maximize else max
-    sign = -1.0 if maximize else 1.0
 
     def objective(xy):
         try:
             dabs, qs = kernel.scan(complex(xy[0], xy[1]))
         except (PreconditionError, DomainError):
             return math.inf
-        return sign * (pick(qs) * (1.0 / dabs))
+        return -(min(qs) * (1.0 / dabs))
 
     best_val, best_z, best_wit = scored[0]
     refined_z = None
@@ -308,12 +306,12 @@ def _refined(kernel: _QuotientKernel, scored, maximize: bool, sampler: SampleCon
             xatol=1e-10,
             fatol=1e-12,
         )
-        val = sign * res.fun
-        if math.isfinite(val) and (val > best_val if maximize else val < best_val):
+        val = -res.fun
+        if math.isfinite(val) and val > best_val:
             best_val = val
             refined_z = complex(res.x[0], res.x[1])
     if refined_z is not None:
-        best_z, best_wit = refined_z, kernel.extreme(*kernel.scan(refined_z), maximize)
+        best_z, best_wit = refined_z, kernel.extreme(*kernel.scan(refined_z), True)
     return best_val, best_z, best_wit
 
 
@@ -374,9 +372,10 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
                 high_max[k] = val
 
     s_scored.sort(key=lambda item: item[0], reverse=True)
-    ds_scored.sort(key=lambda item: item[0])
-    s_best, s_z, s_wit = _refined(kernel, s_scored, True, sampler)
-    ds_best, ds_z, ds_wit = _refined(kernel, ds_scored, False, sampler)
+    s_best, s_z, s_wit = _refined(kernel, s_scored, sampler)
+    ds_best, ds_z, ds_wit = min(ds_scored, key=lambda item: item[0])
+    if 1.0 / n < ds_best:
+        ds_best, ds_z = 1.0 / n, None  # the limit as |z| -> infinity
 
     checks = [_upper(name, b, s_best) for name, b in s_upper_bounds(n)]
     checks.extend(_lower(name, b, ds_best) for name, b in ds_lower_bounds(n))
@@ -402,7 +401,7 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
         ds_estimate=ds_best,
         s0=s0_val,
         ds0=ds0_val,
-        witnesses=(s_wit, ds_wit),
+        witnesses=(s_wit,) if ds_z is None else (s_wit, ds_wit),
         bound_checks=tuple(checks),
         s_argmax_z=s_z,
         ds_argmin_z=ds_z,

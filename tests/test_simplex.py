@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 from smale_lab.rng import Stream
 from smale_lab.simplex import nelder_mead
 
-# the settings of smale._refine and search._search
+# the settings of smale._refined (the s side of bound_report) and search._search
 REFINE = {"maxiter": 30, "xatol": 1e-10, "fatol": 1e-12}
 SEARCH = {"maxiter": 800, "xatol": 1e-9, "fatol": 1e-11, "adaptive": True}
 LOG_RADIUS = (math.log(1e-2), math.log(1e2))
