@@ -140,21 +140,18 @@ def derivative(p: Poly) -> Poly:
     return Poly(tuple(i * c for i, c in enumerate(p.coeffs) if i >= 1))
 
 
-def kth_derivative(p: Poly, k: int) -> Poly:
-    """k-th derivative; k above the degree yields the zero polynomial."""
-    if k < 0:
-        raise DomainError(f"derivative order must be >= 0, got {k}")
-    if k == 0:
-        return p
-    if k > p.degree:
-        return Poly((0.0 + 0.0j,))
-    coeffs = tuple(
-        p.coeffs[i + k] * math.perm(i + k, k) for i in range(p.degree - k + 1)
-    )
-    return Poly(coeffs)
+def taylor_coefficients(p: Poly, z: Scalar) -> list[Scalar]:
+    """p^(k)(z) / k! for k = 0 .. degree: the remainders of repeated
+    synthetic division of p by (x - z) (Knuth, TAOCP 2, 4.6.4)."""
+    z = require_finite(z, "evaluation point")
+    t = list(reversed(p.coeffs))
+    for j in range(p.degree, 0, -1):
+        for i in range(1, j + 1):
+            t[i] = t[i - 1] * z + t[i]
+    return t[::-1]
 
 
-# kept as the tests' bitwise kernel reference; perfbench/tracer.py wraps it
+# the tests' independent oracle for smale's quotient kernel; perfbench/tracer.py wraps it
 def divided_difference(p: Poly, z: Scalar, w: Scalar) -> Scalar:
     """(p(z) - p(w)) / (z - w), evaluated without the subtraction.
 

@@ -155,7 +155,6 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
             maxiter=_MAX_ITER,
             xatol=1e-9,
             fatol=1e-11,
-            adaptive=m > 1,
             bounds=bounds,
         )
         val = sign * res.fun

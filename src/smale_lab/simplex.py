@@ -13,6 +13,7 @@ order ties by whichever sort numpy picks for the host CPU.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -30,8 +31,9 @@ class SimplexResult:
 
 
 def _sort_key(pair):
+    # False before True puts NaN last; NaN keys compare equal to each other
     f = pair[0]
-    return (1, 0.0) if math.isnan(f) else (0, f)
+    return (f != f, f)
 
 
 def nelder_mead(
@@ -41,7 +43,6 @@ def nelder_mead(
     maxiter: int,
     xatol: float,
     fatol: float,
-    adaptive: bool = False,
     bounds=None,
 ) -> SimplexResult:
     """Minimize func from x0; bounds is a sequence of (lower, upper) pairs.
@@ -49,15 +50,13 @@ def nelder_mead(
     func receives each vertex as a tuple of floats and returns a float; a
     NaN value sorts last and makes ``fun`` NaN.  At most ``maxiter - 1``
     simplex iterations run, and the run stops early once every vertex is
-    within xatol of the best in each coordinate and within fatol of it in
-    value.
+    within fatol of the best in value and within xatol of it in each
+    coordinate.  The coefficients are scipy's ``adaptive`` ones (Gao and
+    Han, 2012), which in two dimensions equal the standard 1, 2, 1/2, 1/2.
     """
     n = len(x0)
-    if adaptive:
-        dim = float(n)
-        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    else:
-        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    dim = float(n)
+    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
 
     x0 = [float(v) for v in x0]
     if bounds is None:
@@ -71,10 +70,10 @@ def nelder_mead(
 
         def clip(x):
             # NaN passes through, as in numpy's clip
-            return tuple(
+            return tuple([
                 lo if v < lo else hi if v > hi else v
                 for v, lo, hi in zip(x, lower, upper)
-            )
+            ])
 
         x0 = clip(x0)
 
@@ -87,65 +86,62 @@ def nelder_mead(
         # a vertex pushed past an upper bound is reflected back inside, so
         # clipping cannot collapse the simplex onto the bound
         sim = [
-            clip(tuple(2 * hi - v if v > hi else v for v, hi in zip(x, upper)))
+            clip([2 * hi - v if v > hi else v for v, hi in zip(x, upper)])
             for x in sim
         ]
 
-    nfev = 0
-
-    def evaluate(x):
-        nonlocal nfev
-        nfev += 1
-        return func(x)
-
-    verts = sorted(((evaluate(x), x) for x in sim), key=_sort_key)
+    verts = sorted([(func(x), x) for x in sim], key=_sort_key)
+    nfev = n + 1
     iterations = 1
     while iterations < maxiter:
         fbest, best = verts[0]
-        if all(
+        if all([abs(fbest - f) <= fatol for f, _ in verts[1:]]) and all(
             abs(v - b) <= xatol for _, x in verts[1:] for v, b in zip(x, best)
-        ) and all(abs(fbest - f) <= fatol for f, _ in verts[1:]):
+        ):
             break
 
-        fworst, worst = verts[-1]
-        xbar = [reduce(add, col) / n for col in zip(*(x for _, x in verts[:-1]))]
+        fworst, worst = verts.pop()
+        xbar = [reduce(add, col) / n for col in zip(*[x for _, x in verts])]
 
         def toward(a, b):
-            return clip(tuple(a * m - b * w for m, w in zip(xbar, worst)))
+            return clip(tuple([a * m - b * w for m, w in zip(xbar, worst)]))
 
         xr = toward(1 + rho, rho)
-        fxr = evaluate(xr)
+        fxr = func(xr)
+        nfev += 1
+        new = None
         if fxr < fbest:
             xe = toward(1 + rho * chi, rho * chi)
-            fxe = evaluate(xe)
-            verts[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
-        elif fxr < verts[-2][0]:
-            verts[-1] = (fxr, xr)
+            fxe = func(xe)
+            nfev += 1
+            new = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < verts[-1][0]:
+            new = (fxr, xr)
+        elif fxr < fworst:
+            xc = toward(1 + psi * rho, psi * rho)
+            fxc = func(xc)
+            nfev += 1
+            if fxc <= fxr:
+                new = (fxc, xc)
         else:
-            shrink = False
-            if fxr < fworst:
-                xc = toward(1 + psi * rho, psi * rho)
-                fxc = evaluate(xc)
-                if fxc <= fxr:
-                    verts[-1] = (fxc, xc)
-                else:
-                    shrink = True
-            else:
-                # (1 - psi) * xbar + psi * worst: negating an operand is exact
-                xcc = toward(1 - psi, -psi)
-                fxcc = evaluate(xcc)
-                if fxcc < fworst:
-                    verts[-1] = (fxcc, xcc)
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    x = clip(
-                        tuple(b + sigma * (v - b) for v, b in zip(verts[j][1], best))
-                    )
-                    verts[j] = (evaluate(x), x)
+            # (1 - psi) * xbar + psi * worst: negating an operand is exact
+            xcc = toward(1 - psi, -psi)
+            fxcc = func(xcc)
+            nfev += 1
+            if fxcc < fworst:
+                new = (fxcc, xcc)
+        if new is not None:
+            # the other vertices stay sorted: insert as a stable sort would
+            insort(verts, new, key=_sort_key)
+        else:
+            # shrink toward the best vertex
+            verts.append((fworst, worst))
+            for j in range(1, n + 1):
+                x = clip(tuple([b + sigma * (v - b) for v, b in zip(verts[j][1], best)]))
+                verts[j] = (func(x), x)
+            nfev += n
+            verts.sort(key=_sort_key)
         iterations += 1
-        verts.sort(key=_sort_key)
 
     # sorted with NaN last, so the last value is NaN exactly when any is
     fun = verts[-1][0] if math.isnan(verts[-1][0]) else verts[0][0]

@@ -13,11 +13,11 @@ quantities:
 Sampling estimates are one-sided by construction and reported as such.  The
 minimized side is refined by simplex search; the maximized side's ratio tends
 to 1/n as |z| grows, so its estimate is the sampled minimum capped at 1/n.
-Each polynomial has one cached kernel (``_kernel``) holding P', its critical
-threshold and its critical points, which every entry point reads; it scans
-all critical points at a point z in a single pass.  The kernel keeps its
-last scan, so ``s_at`` and ``ds_at`` at the same z object share one scan;
-the key is the object's identity, because ``==`` would merge 0j and -0j.
+Each polynomial has one cached kernel (``_kernel``), read by every entry
+point, holding its coefficients, critical threshold and critical points; one
+division of P by (x - z) gives P'(z) and every quotient at z.  The kernel
+keeps its last scan, so ``s_at`` and ``ds_at`` at the same z object share
+one scan; the key is the object's identity, as ``==`` merges 0j and -0j.
 The normalized quantities at z = 0, which the extremal search shares, use
 ``quotients_at_zero``.
 """
@@ -37,7 +37,8 @@ from .polycore import (
     derivative,
     evaluate,
     is_normalized,
-    kth_derivative,
+    require_finite,
+    taylor_coefficients,
 )
 from .rng import Stream
 from .rootfind import cached_critical_points, find_roots
@@ -113,9 +114,10 @@ class _QuotientKernel:
     """Everything the quotients of one polynomial need, hoisted out of the
     per-point loop; built once per polynomial, by ``_kernel`` only.
 
-    ``scan`` performs the float operations of ``evaluate`` on P' and of
-    ``divided_difference`` in the same order, so its values agree with them
-    bit for bit.
+    ``scan`` divides P by (x - z) once, P(x) = (x - z) B(x) + P(z), and
+    reads P'(z) = B(z) and each quotient (P(z) - P(w)) / (z - w) = B(w)
+    from B.  No two values of P are subtracted, so nothing cancels when z
+    is near a critical point w.
 
     ``scan`` keeps its last result in ``_last`` as (z, result), so ``s_at``
     and ``ds_at`` at one point share a scan.  The key is the caller's z
@@ -126,53 +128,56 @@ class _QuotientKernel:
     store, so a reader never sees a z paired with another z's result.
     """
 
-    __slots__ = ("dp", "criticals", "_critical_scale", "_coeffs", "_last")
+    __slots__ = ("dp", "criticals", "_critical_scale", "_lead", "_tail", "_last")
 
     def __init__(self, p: Poly):
         if p.degree < 2:
             raise DomainError("mean value quantities need degree >= 2")
         self.dp = derivative(p)
         self._critical_scale = CRITICAL_TOL * self.dp.coeff_scale
-        self._coeffs = p.coeffs[1:]
+        self._lead, self._tail = p.coeffs[-1], p.coeffs[-2:0:-1]  # a_n; a_(n-1) .. a_1
         # find_roots passes every root through evaluate, which rejects
         # non-finite values, so the critical points need no finiteness check
         self.criticals = cached_critical_points(p).roots
         self._last = (_NO_POINT, None)
 
-    def derivative_abs(self, z: Scalar) -> float:
-        """|P'(z)|; DomainError for a non-finite z or an overflowing
-        |z|^degree, PreconditionError at a critical point of P."""
-        z = complex(z)
-        dabs = abs(evaluate(self.dp, z))
+    def deflate(self, z: Scalar) -> tuple[complex, float, list[complex]]:
+        """(complex z, |P'(z)|, B's coefficients below its leading a_n, highest
+        first); DomainError for a non-finite z or overflowing |z|^(n-1),
+        PreconditionError at a critical point of P."""
+        c = require_finite(z, "evaluation point")
         try:
-            zpow = max(1.0, abs(z)) ** self.dp.degree
+            zpow = max(1.0, abs(c)) ** self.dp.degree
         except OverflowError:
-            raise DomainError(f"|z|^{self.dp.degree} overflows at z = {z!r}") from None
+            raise DomainError(f"|z|^{self.dp.degree} overflows at z = {c!r}") from None
+        acc = lead = self._lead
+        tail = [acc := acc * c + a for a in self._tail]
+        d = lead
+        for b in tail:
+            d = d * c + b
+        dabs = abs(d)
         if dabs <= self._critical_scale * zpow:
-            raise PreconditionError(f"z = {z!r} is a critical point of p")
-        return dabs
+            raise PreconditionError(f"z = {c!r} is a critical point of p")
+        return c, dabs, tail
 
     def scan(self, z: Scalar) -> tuple[float, tuple[float, ...]]:
         """|P'(z)| and the quotient at every critical point, in root order."""
         last = self._last
         if last[0] is z:
             return last[1]
-        dabs = self.derivative_abs(z)
-        c = complex(z)
-        cscale = max(1.0, abs(c))
-        coeffs = self._coeffs
+        c, dabs, tail = self.deflate(z)
+        # |z - w| <= COINCIDENCE_TOL * max(1, |z|, |w|), one side at a time
+        near = COINCIDENCE_TOL * max(1.0, abs(c))
+        lead = self._lead
         quotients = []
         for w in self.criticals:
-            if abs(c - w) <= COINCIDENCE_TOL * max(cscale, abs(w)):
+            d = abs(c - w)
+            if d <= near or d <= COINCIDENCE_TOL * abs(w):
                 raise PreconditionError(f"points coincide: z = {c!r}, w = {w!r}")
-            acc = 0.0 + 0.0j
-            h = 1.0 + 0.0j
-            wp = 1.0 + 0.0j
-            for a in coeffs:
-                acc += a * h
-                wp *= w
-                h = c * h + wp
-            quotients.append(abs(acc))
+            q = lead
+            for b in tail:
+                q = q * w + b
+            quotients.append(abs(q))
         result = (dabs, tuple(quotients))
         self._last = (z, result)
         return result
@@ -354,7 +359,6 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
     s_scored = []
     ds_scored = []
     high_max: dict[int, float] = {k: 0.0 for k in range(2, n + 1)}
-    dks = {k: kth_derivative(p, k) for k in range(2, n + 1)}
     for z in pts:
         dval, qs = kernel.scan(z)
         for scored, smallest in ((s_scored, True), (ds_scored, False)):
@@ -365,11 +369,9 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
         # nearest critical VALUE realizes it (the quotient minimizer does
         # not: it can overshoot the bound)
         diff = min(q * abs(z - w) for w, q in zip(kernel.criticals, qs))
+        taylor = taylor_coefficients(p, z)  # P^(k)(z) / k!
         for k in range(2, n + 1):
-            kth = abs(evaluate(dks[k], z))
-            val = (kth / math.factorial(k)) * diff ** (k - 1) / dval ** k
-            if val > high_max[k]:
-                high_max[k] = val
+            high_max[k] = max(high_max[k], abs(taylor[k]) * diff ** (k - 1) / dval ** k)
 
     s_scored.sort(key=lambda item: item[0], reverse=True)
     s_best, s_z, s_wit = _refined(kernel, s_scored, sampler)

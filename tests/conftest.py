@@ -10,7 +10,6 @@ from smale_lab.polycore import (
     derivative,
     evaluate,
     from_coeffs,
-    kth_derivative,
     require_finite,
 )
 from smale_lab.rng import Stream
@@ -89,6 +88,20 @@ def match_multisets(found, expected, tol):
 
 def polar(r, theta):
     return r * cmath.exp(1j * theta)
+
+
+def kth_derivative(p: Poly, k: int) -> Poly:
+    """k-th derivative; k above the degree yields the zero polynomial."""
+    if k < 0:
+        raise DomainError(f"derivative order must be >= 0, got {k}")
+    if k == 0:
+        return p
+    if k > p.degree:
+        return Poly((0.0 + 0.0j,))
+    coeffs = tuple(
+        p.coeffs[i + k] * math.perm(i + k, k) for i in range(p.degree - k + 1)
+    )
+    return Poly(coeffs)
 
 
 def higher_order_oracle(p: Poly, z: complex, w: complex, k: int) -> float:

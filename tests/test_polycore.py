@@ -1,7 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import convolve_oracle, horner_oracle, random_roots, scale_conjugate
+from conftest import (
+    convolve_oracle,
+    horner_oracle,
+    kth_derivative,
+    random_roots,
+    scale_conjugate,
+)
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
     Poly,
@@ -11,10 +19,10 @@ from smale_lab.polycore import (
     from_coeffs,
     from_roots,
     is_normalized,
-    kth_derivative,
     poly_from_json,
     poly_to_json,
     sum_of_products_derivative,
+    taylor_coefficients,
 )
 from smale_lab.rng import Stream
 
@@ -119,6 +127,24 @@ class TestKthDerivative:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             kth_derivative(from_coeffs([0, 0, 1]), -1)
+
+
+class TestTaylorCoefficients:
+    def test_kth_is_kth_derivative_over_factorial(self):
+        stream = Stream(14)
+        for trial in range(30):
+            st_ = stream.derive(trial)
+            p = from_roots(random_roots(st_, 2 + trial % 7))
+            z = st_.complex_in_disk(5.0)
+            got = taylor_coefficients(p, z)
+            assert len(got) == p.degree + 1
+            for k, t in enumerate(got):
+                want = evaluate(kth_derivative(p, k), z) / math.factorial(k)
+                assert abs(t - want) <= 1e-12 * (1 + abs(want))
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(DomainError):
+            taylor_coefficients(from_coeffs([0, 0, 1]), complex(math.nan, 0.0))
 
 
 class TestDividedDifference:

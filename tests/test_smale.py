@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from smale_lab.polycore import (
     evaluate,
     from_coeffs,
     from_roots,
+    require_finite,
 )
 from smale_lab.rng import Stream
 from smale_lab.rootfind import cached_critical_points
@@ -34,6 +36,7 @@ from smale_lab.smale import (
     s_at,
     sample_points,
 )
+from smale_lab.verify import XC
 
 CUBIC = from_coeffs([0, 1, 0, -1 / 3])  # z - z^3/3
 QUAD = from_coeffs([0, 1, -0.5])  # z - z^2/2
@@ -390,17 +393,43 @@ class TestDegree2Sweep:
 
 
 def reference_extremes(p, z):
-    """(w, quotient, ratio) of the smallest and largest quotient at z, one
-    divided_difference per critical point; ties go to the first in root order."""
-    inv = 1.0 / abs(evaluate(derivative(p), z))
+    """(w, quotient, ratio) of the smallest and largest quotient at z, from
+    one synthetic division P(x) = (x - z) B(x) + P(z): the quotient at w is
+    |B(w)| and |P'(z)| is |B(z)|; ties go to the first in root order."""
+    z = require_finite(z)
+    b = [p.coeffs[-1]]
+    for a in p.coeffs[-2:0:-1]:
+        b.append(b[-1] * z + a)
+
+    def horner_b(x):
+        acc = b[0]
+        for c in b[1:]:
+            acc = acc * x + c
+        return acc
+
+    inv = 1.0 / abs(horner_b(z))
     found = []
     for w in cached_critical_points(p).roots:
         if abs(z - w) <= COINCIDENCE_TOL * max(1.0, abs(z), abs(w)):
             raise PreconditionError(f"points coincide: z = {z!r}, w = {w!r}")
-        found.append((w, abs(divided_difference(p, z, w))))
+        found.append((w, abs(horner_b(w))))
     lo = min(found, key=lambda item: item[1])
     hi = max(found, key=lambda item: item[1])
     return [(w, q, q * inv) for w, q in (lo, hi)]
+
+
+def exact_value(coeffs, x):
+    """P(x) in exact rational arithmetic, for float coefficients and x."""
+    x = XC.of(x)
+    acc = XC(Fraction(0), Fraction(0))
+    for a in reversed(coeffs):
+        acc = acc * x + XC.of(a)
+    return acc
+
+
+def relative_error(got, exact_abs2):
+    want = math.sqrt(exact_abs2)
+    return abs(got - want) / want
 
 
 def kernel_oracle_polys():
@@ -423,6 +452,30 @@ class TestQuotientKernel:
                 assert got == reference_extremes(p, z)
                 checked += 1
         assert checked == 200 * 8
+
+    def test_quotients_match_exact_rational_arithmetic(self):
+        # sample points, and points 1e-3 from each critical point where
+        # P(z) - P(w) is small; the float z, w and coefficients are taken
+        # as exact rationals
+        checked = 0
+        for trial, p in enumerate(kernel_oracle_polys()):
+            kernel = smale._kernel(p)
+            ws = kernel.criticals
+            dcoeffs = derivative(p).coeffs
+            pts = sample_points(p, SampleConfig(n_samples=3, seed=trial))
+            pts += [w + polar(1e-3, trial + j) for j, w in enumerate(ws)]
+            pw = [exact_value(p.coeffs, w) for w in ws]
+            for z in pts:
+                dabs, qs = kernel.scan(z)
+                assert relative_error(dabs, exact_value(dcoeffs, z).abs2()) <= 1e-9
+                pz = exact_value(p.coeffs, z)
+                for w, pw_, q in zip(ws, pw, qs):
+                    exact = (pz - pw_).abs2() / (XC.of(z) - XC.of(w)).abs2()
+                    assert relative_error(q, exact) <= 1e-9
+                    # divided_difference stays an independent oracle
+                    assert relative_error(abs(divided_difference(p, z, w)), exact) <= 1e-9
+                    checked += 1
+        assert checked > 200 * 5
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
     def test_non_finite_point_is_domain_error(self, z):
@@ -481,13 +534,13 @@ class TestQuotientKernel:
 
     def test_s_at_and_ds_at_at_one_point_share_one_scan(self, monkeypatch):
         calls = []
-        derivative_abs = smale._QuotientKernel.derivative_abs
+        deflate = smale._QuotientKernel.deflate
 
         def counted(self, z):
             calls.append(z)
-            return derivative_abs(self, z)
+            return deflate(self, z)
 
-        monkeypatch.setattr(smale._QuotientKernel, "derivative_abs", counted)
+        monkeypatch.setattr(smale._QuotientKernel, "deflate", counted)
         p = from_roots(random_roots(Stream(65), 5))
         for z in sample_points(p, SampleConfig(n_samples=10, seed=6)):
             calls.clear()
@@ -560,13 +613,11 @@ class TestQuotientKernel:
 
     @pytest.mark.parametrize("z", [3, -2, 3.0, 0.25, 10**20, 2 + 0j])
     def test_derivative_abs_is_evaluate_for_real_and_integer_points(self, z):
-        # the kernel runs polycore.evaluate on its own P', so a real or
-        # integer z gives the bits of the complex one
+        # a real or integer z gives the bits of the complex one, |P'(z)|
+        # and every quotient
         for p in (CUBIC, from_roots([1 + 2j, -1, 0.5j, 3])):
             kernel = smale._kernel(p)
-            expected = abs(evaluate(derivative(p), complex(z)))
-            assert kernel.derivative_abs(z) == expected
-            assert kernel.derivative_abs(complex(z)) == expected
+            assert kernel.scan(z) == kernel.scan(complex(z))
 
     @pytest.mark.parametrize("field,value", [
         ("n_samples", 0),
