@@ -109,8 +109,8 @@ class CStarVerdict:
     max_ratio: float
     sharp_pass: bool
     dual_pass: bool
-    strong_smale_pass: bool | None = None
-    strong_dual_pass: bool | None = None
+    strong_smale_pass: bool
+    strong_dual_pass: bool
 
 
 def cstar_derivative_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
@@ -191,15 +191,20 @@ def product_extremes(tables, scale):
     return lo, hi
 
 
-def _check(
-    P: CStarPoly, z: CStarElement, strong: bool, crit: CriticalSet | None
+def check_strong_forms(
+    P: CStarPoly, z: CStarElement, crit: CriticalSet | None = None
 ) -> CStarVerdict:
     """Min/max of the normalized quotient over the critical set, plus the
-    strong forms when asked; their flags are None otherwise.
+    operator-order strong forms; crit is P's critical set when the caller
+    has already computed it.
 
-    Every per-element term depends on one coordinate, so coordinate t gets
-    one row (|P_t(z_t) - P_t(w_t)|, |z_t - w_t|, |w_t|) per critical point
-    w_t, and product_extremes reads the extremes off those tables.
+    In the model, x <= y for self-adjoint x, y means coordinatewise order,
+    so the strong inequalities compare squared moduli per coordinate, and a
+    strong flag is set when some single critical element satisfies the
+    inequality in every coordinate.  Every per-element term depends on one
+    coordinate, so coordinate t gets one row (|P_t(z_t) - P_t(w_t)|,
+    |z_t - w_t|, |w_t|) per critical point w_t, and product_extremes reads
+    the extremes off those tables.
     """
     if crit is None:
         crit = enumerate_critical_set(P)
@@ -213,7 +218,7 @@ def _check(
     dual_sq = 1.0 / n ** 2
     # the set is a full product, so some element passes a strong form in
     # every coordinate exactly when every coordinate has a passing w_t
-    strong_smale = strong_dual = strong
+    strong_smale = strong_dual = True
     tables = []
     columns = zip(P.coordinate_polys, z.coords, dval.coords, crit.per_coordinate)
     for p, zt, dt, rs in columns:
@@ -224,13 +229,12 @@ def _check(
             num = abs(_telescoped_difference(p.roots, zt, wt))
             dist = abs(zt - wt)
             rows.append((num, dist, abs(wt)))
-            if strong:
-                # coordinatewise order of the squared sides, relative slack
-                lhs = num ** 2
-                rhs = sharp_sq * dist ** 2 * dsq
-                smale_t = smale_t or not lhs > rhs + CONJ_SLACK * max(1.0, lhs, rhs)
-                rhs = dual_sq * dist ** 2 * dsq
-                dual_t = dual_t or not rhs > lhs + CONJ_SLACK * max(1.0, lhs, rhs)
+            # coordinatewise order of the squared sides, relative slack
+            lhs = num ** 2
+            rhs = sharp_sq * dist ** 2 * dsq
+            smale_t = smale_t or not lhs > rhs + CONJ_SLACK * max(1.0, lhs, rhs)
+            rhs = dual_sq * dist ** 2 * dsq
+            dual_t = dual_t or not rhs > lhs + CONJ_SLACK * max(1.0, lhs, rhs)
         tables.append(rows)
         strong_smale = strong_smale and smale_t
         strong_dual = strong_dual and dual_t
@@ -252,28 +256,14 @@ def _check(
         max_ratio=max_ratio,
         sharp_pass=min_ratio <= (n - 1) / n + CONJ_SLACK,
         dual_pass=max_ratio >= 1.0 / n - CONJ_SLACK,
-        strong_smale_pass=strong_smale if strong else None,
-        strong_dual_pass=strong_dual if strong else None,
+        strong_smale_pass=strong_smale,
+        strong_dual_pass=strong_dual,
     )
 
 
 def check_smale(P: CStarPoly, z: CStarElement) -> CStarVerdict:
     """Min/max of the normalized quotient over the whole critical set."""
-    return _check(P, z, False, None)
-
-
-def check_strong_forms(
-    P: CStarPoly, z: CStarElement, crit: CriticalSet | None = None
-) -> CStarVerdict:
-    """Norm verdict plus the coordinatewise operator-order strong forms.
-
-    In the model, x <= y for self-adjoint x, y means coordinatewise order,
-    so the strong inequalities reduce to per-coordinate comparisons of
-    squared moduli.  A strong flag is set when some single critical element
-    satisfies the inequality in every coordinate simultaneously.  crit is
-    P's critical set when the caller has already computed it.
-    """
-    return _check(P, z, True, crit)
+    return check_strong_forms(P, z)
 
 
 def _degree2(a: CStarElement, b: CStarElement, z: CStarElement):

@@ -35,9 +35,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, PreconditionError
-from .polycore import Poly, evaluate, is_normalized
+from .polycore import Poly, is_normalized, require_finite
 from .rootfind import cached_critical_points
-from .smale import CONJ_SLACK
+from .smale import CONJ_SLACK, quotient_moduli
 
 VERDICT_CONVERGED = "converged_to_zero"
 VERDICT_ESCAPED = "escaped"
@@ -113,15 +113,15 @@ def orbit(p: Poly, w0: complex, cfg: OrbitConfig = OrbitConfig()) -> OrbitResult
 
     The proven escape and petal tests run at w0 and after every step.  A
     cycle found by Brent's comparison is confirmed by going once around,
-    which may run past cfg.max_iters by the cycle's length.
+    which may run past cfg.max_iters by the cycle's length.  The ratio is
+    |B(w0)| = |P(w0) - a_0| / |w0| for P(x) = a_0 + x B(x), |a_1| at w0 = 0.
     """
     if not is_normalized(p, 1e-10):
         raise PreconditionError("orbit needs p(0) = 0 and p'(0) = 1 within 1e-10")
-    w0 = complex(w0)
+    w0 = require_finite(w0, "evaluation point")
     lead, *rest = reversed(p.coeffs)
     escapes, in_petal = escape_test(p.coeffs), petal_test(p.coeffs)
-    # at w0 = 0, the limit of |P(w)/w| as w -> 0 under the normalization
-    ratio = abs(evaluate(p, w0) / w0) if w0 != 0 else 1.0
+    ratio = quotient_moduli(lead, rest[:-1], [w0])[0]
     z = saved = anchor = w0
     steps = lam = around = 0  # around > 0: steps left to go once around
     power = 1
@@ -171,7 +171,7 @@ def mlp_check(p: Poly, cfg: OrbitConfig = OrbitConfig()) -> tuple[bool, OrbitRes
     if not is_normalized(p, 1e-10):
         raise PreconditionError("mlp_check needs p(0) = 0 and p'(0) = 1")
     crits = cached_critical_points(p).roots
-    scored = [(w, abs(evaluate(p, w) / w)) for w in crits]
+    scored = list(zip(crits, quotient_moduli(p.coeffs[-1], p.coeffs[-2:0:-1], crits)))
     candidates = [w for w, ratio in scored if ratio <= 1.0 + CONJ_SLACK]
     last: OrbitResult | None = None
     budget = 100

@@ -151,7 +151,8 @@ def taylor_coefficients(p: Poly, z: Scalar) -> list[Scalar]:
     return t[::-1]
 
 
-# the tests' independent oracle for smale's quotient kernel; perfbench/tracer.py wraps it
+# no package code calls this: the tests hold smale's quotients to it as an
+# independent oracle, and perfbench/tracer.py wraps it by name
 def divided_difference(p: Poly, z: Scalar, w: Scalar) -> Scalar:
     """(p(z) - p(w)) / (z - w), evaluated without the subtraction.
 

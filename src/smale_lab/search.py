@@ -29,7 +29,7 @@ from .errors import DomainError, PreconditionError, SmaleLabError
 from .polycore import CRITICAL_TOL, Poly, from_coeffs, monic_coeffs, poly_to_json
 from .rng import Stream
 from .rootfind import cached_critical_points
-from .smale import CONJ_SLACK, SAMPLER_MARGIN, quotients_at_zero
+from .smale import CONJ_SLACK, SAMPLER_MARGIN, quotient_moduli
 from .verify import Certificate, confirm_normalized, exact_cstar_quotients
 
 _STREAM_SEARCH = 23
@@ -107,8 +107,8 @@ def _normalized_extremes(cs) -> tuple[float, float]:
     P'(0) = 1 exactly, so no rescaling is needed.
 
     Runs on the plain coefficient list, with no Poly.  A non-finite
-    coefficient or point and a zero leading coefficient still raise
-    DomainError, with the messages of Poly and divided_difference.
+    coefficient (which a non-finite point makes) and a zero leading
+    coefficient still raise DomainError, with the messages of Poly.
     """
     coeffs = _normalized_coeffs(cs)
     for a in coeffs:
@@ -116,7 +116,7 @@ def _normalized_extremes(cs) -> tuple[float, float]:
             raise DomainError(f"coefficient must be finite, got {a!r}")
     if abs(coeffs[-1]) == 0.0:
         raise DomainError("leading coefficient must be nonzero")
-    vals = quotients_at_zero(coeffs, cs)
+    vals = quotient_moduli(coeffs[-1], coeffs[-2::-1], cs)
     return min(vals), max(vals)
 
 

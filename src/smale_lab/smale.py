@@ -18,8 +18,8 @@ point, holding its coefficients, critical threshold and critical points; one
 division of P by (x - z) gives P'(z) and every quotient at z.  The kernel
 keeps its last scan, so ``s_at`` and ``ds_at`` at the same z object share
 one scan; the key is the object's identity, as ``==`` merges 0j and -0j.
-The normalized quantities at z = 0, which the extremal search shares, use
-``quotients_at_zero``.
+The scan, s0/ds0, the extremal search and the dynamics read every float
+quotient modulus from one Horner pass over B, ``quotient_moduli``.
 """
 
 from __future__ import annotations
@@ -152,10 +152,7 @@ class _QuotientKernel:
             raise DomainError(f"|z|^{self.dp.degree} overflows at z = {c!r}") from None
         acc = lead = self._lead
         tail = [acc := acc * c + a for a in self._tail]
-        d = lead
-        for b in tail:
-            d = d * c + b
-        dabs = abs(d)
+        dabs = quotient_moduli(lead, tail, (c,))[0]
         if dabs <= self._critical_scale * zpow:
             raise PreconditionError(f"z = {c!r} is a critical point of p")
         return c, dabs, tail
@@ -168,17 +165,11 @@ class _QuotientKernel:
         c, dabs, tail = self.deflate(z)
         # |z - w| <= COINCIDENCE_TOL * max(1, |z|, |w|), one side at a time
         near = COINCIDENCE_TOL * max(1.0, abs(c))
-        lead = self._lead
-        quotients = []
         for w in self.criticals:
             d = abs(c - w)
             if d <= near or d <= COINCIDENCE_TOL * abs(w):
                 raise PreconditionError(f"points coincide: z = {c!r}, w = {w!r}")
-            q = lead
-            for b in tail:
-                q = q * w + b
-            quotients.append(abs(q))
-        result = (dabs, tuple(quotients))
+        result = (dabs, tuple(quotient_moduli(self._lead, tail, self.criticals)))
         self._last = (z, result)
         return result
 
@@ -212,36 +203,31 @@ def ds_at(p: Poly, z: Scalar) -> QuotientWitness:
     return _witnesses(p, z, False)
 
 
-def quotients_at_zero(coeffs, points) -> list[float]:
-    """|P(c) / c| at each point c, where ``coeffs`` are a_1 .. a_n of a P
-    with P(0) = 0: the float operations of ``divided_difference(P, c, 0)``
-    in the same order, so its values bit for bit.  A non-finite point is a
-    DomainError; the coefficients are the caller's to check."""
+def quotient_moduli(lead, tail, points) -> list[float]:
+    """|B(w)| at each point w by Horner's rule; B has leading coefficient
+    ``lead``, then ``tail``, highest first.  Dividing P by (x - z) gives B
+    with |B(w)| = |P(z) - P(w)| / |z - w|; for P(0) = 0 and z = 0, tail is
+    a_(n-1) .. a_1 and |B(w)| = |P(w) / w|, |a_1| at w = 0.  The points are
+    the caller's to check."""
     out = []
-    for c in points:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise DomainError(f"point z must be finite, got {c!r}")
-        acc = 0.0 + 0.0j
-        h = 1.0 + 0.0j
-        for a in coeffs:
-            acc += a * h
-            h = c * h + 0j
-        out.append(abs(acc))
+    for w in points:
+        q = lead
+        for b in tail:
+            q = q * w + b
+        out.append(abs(q))
     return out
 
 
 def _normalized_witnesses(p: Poly) -> list[QuotientWitness]:
-    criticals = _kernel(p).criticals
+    kernel = _kernel(p)
     if not is_normalized(p):
         raise PreconditionError("p must satisfy p(0) = 0 and p'(0) = 1")
-    for w in criticals:
+    for w in kernel.criticals:
         if abs(w) <= COINCIDENCE_TOL:
             raise PreconditionError(f"critical point {w!r} coincides with 0")
     dabs = abs(p.coeffs[1])
-    return [
-        QuotientWitness(w, q, q / dabs)
-        for w, q in zip(criticals, quotients_at_zero(p.coeffs[1:], criticals))
-    ]
+    quotients = quotient_moduli(kernel._lead, kernel._tail, kernel.criticals)
+    return [QuotientWitness(w, q, q / dabs) for w, q in zip(kernel.criticals, quotients)]
 
 
 def s0(p: Poly) -> QuotientWitness:

@@ -98,11 +98,11 @@ def exact_cstar_quotients(
 
     root_coords is indexed [root][coordinate]; pools[t] holds the critical
     points of coordinate t found by the float pipeline, used verbatim, and
-    the witness set is the product of the pools.  As in cstar._check, every
-    per-element term depends on one coordinate, so coordinate t gets one
-    exact row (|P_t(z_t) - P_t(w_t)|^2, |z_t - w_t|^2) per critical point
-    w_t, and a strong form holds for some element exactly when every
-    coordinate has a row that satisfies it.
+    the witness set is the product of the pools.  As in
+    cstar.check_strong_forms, every per-element term depends on one
+    coordinate, so coordinate t gets one exact row (|P_t(z_t) - P_t(w_t)|^2,
+    |z_t - w_t|^2) per critical point w_t, and a strong form holds for some
+    element exactly when every coordinate has a row that satisfies it.
     """
     if len(pools) != len(z_coords) or not all(pools):
         raise PreconditionError("exact re-check needs one non-empty pool per coordinate")

@@ -196,6 +196,7 @@ class TestCheckSmale:
             assert v.min_ratio == pytest.approx(0.5, abs=1e-9)
             assert v.max_ratio == pytest.approx(0.5, abs=1e-9)
             assert v.sharp_pass and v.dual_pass
+            assert v.strong_smale_pass and v.strong_dual_pass
 
     def test_k1_reduction_to_scalar(self):
         stream = Stream(96)
@@ -282,7 +283,7 @@ class TestCheckSmale:
                     raised.add(coincides)
                     continue
                 if crit is None:
-                    assert got[0] == check_smale(P, z).min_ratio
+                    assert check_smale(P, z) == check_strong_forms(P, z)
                 if slack is not None:
                     flags.update(got[2:])
                 elif z.norm() < 1e6:

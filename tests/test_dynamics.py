@@ -17,6 +17,7 @@ from smale_lab.polycore import evaluate, from_coeffs
 from smale_lab.rng import Stream
 from smale_lab.rootfind import critical_points
 from smale_lab.search import random_normalized_poly
+from smale_lab.smale import _normalized_witnesses
 
 QUAD = from_coeffs([0, 1, -0.5])  # z - z^2/2
 CUBIC = from_coeffs([0, 1, 0, -1 / 3])  # z - z^3/3
@@ -113,6 +114,18 @@ class TestOrbit:
             assert_in_petal(QUAD.coeffs, 1.0)
         with pytest.raises(AssertionError):
             assert_escapes(from_coeffs([0, 1, 1]).coeffs, 2.9)
+
+    def test_ratio_is_the_normalized_witness_quotient(self):
+        stream = Stream(2719)
+        for degree in range(2, 9):
+            p = random_normalized_poly(degree, stream.derive(degree))
+            for wit in _normalized_witnesses(p):
+                assert orbit(p, wit.w, OrbitConfig(max_iters=0)).ratio == wit.quotient
+
+    def test_ratio_at_zero_is_the_first_coefficient(self):
+        # normalized within orbit's 1e-10 but a_1 != 1: the ratio is |a_1|
+        for p in (QUAD, from_coeffs([0, 1 + 5e-11, 0.3, -0.2j])):
+            assert orbit(p, 0j).ratio == abs(p.coeffs[1])
 
     def test_identity_has_no_petal(self):
         ident = from_coeffs([0, 1])

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import convolve_oracle, polar
 from smale_lab import polycore, rootfind, search, simplex
+from smale_lab.dynamics import OrbitConfig, mlp_check
 from smale_lab.errors import (
     DomainError,
     PreconditionError,
@@ -12,7 +14,6 @@ from smale_lab.errors import (
 )
 from smale_lab.polycore import (
     POLY_RESIDUAL_TOL,
-    Poly,
     derivative,
     divided_difference,
     evaluate,
@@ -22,6 +23,7 @@ from smale_lab.polycore import (
 from smale_lab.rng import Stream
 from smale_lab.search import (
     SearchConfig,
+    _normalized_coeffs,
     _normalized_extremes,
     critical_points_from_params,
     extremal_family,
@@ -32,7 +34,8 @@ from smale_lab.search import (
     search_extremal_ds0,
     search_extremal_s0,
 )
-from smale_lab.smale import ds0, s0, s_upper_bounds
+from smale_lab.smale import _normalized_witnesses, ds0, s0, s_upper_bounds
+from smale_lab.verify import exact_normalized_ratios
 
 FAST = SearchConfig(restarts=16, seed=42)
 
@@ -51,16 +54,12 @@ def builder_oracle_sets():
 
 
 def chained_builder(cs):
-    """The three-Poly chain the one-pass builder replaced, written out:
-    expand prod (z - c_j), divide P' by its value at 0, integrate from 0,
-    then take the quotient extremes with the 1 / |P'(0)| rescaling."""
+    """The coefficients of the three-Poly chain the one-pass builder
+    replaced, written out: expand prod (z - c_j), divide P' by its value at
+    0, integrate from 0."""
     q = convolve_oracle(cs)
     dp = [1.0 + 0.0j] + [c / q[0] for c in q[1:]]
-    coeffs = [0.0 + 0.0j] + [c / (i + 1) for i, c in enumerate(dp)]
-    p = Poly(tuple(coeffs))
-    inv = 1.0 / abs(coeffs[1])
-    vals = [abs(divided_difference(p, c, 0.0 + 0.0j)) * inv for c in cs]
-    return coeffs, (min(vals), max(vals))
+    return [0.0 + 0.0j] + [c / (i + 1) for i, c in enumerate(dp)]
 
 
 class TestParametrization:
@@ -88,10 +87,8 @@ class TestParametrization:
     def test_builder_matches_the_chain_bitwise(self):
         chain_rejected = 0
         for cs in builder_oracle_sets():
-            coeffs, extremes = chained_builder(cs)
             p = poly_from_critical_points(cs)
-            assert list(p.coeffs) == coeffs
-            assert _normalized_extremes(cs) == extremes
+            assert list(p.coeffs) == chained_builder(cs)
             # P'(c) is small on the scale of its Horner terms at c
             dp = derivative(p)
             for c in cs:
@@ -105,6 +102,32 @@ class TestParametrization:
         # Horner terms (root_residual_bounds), so the chain accepts every set
         # the builder does
         assert chain_rejected == 0
+
+    def test_float_quotients_match_the_exact_ratios(self):
+        """_normalized_witnesses, _normalized_extremes and mlp_check's ratio
+        each lie within 1e-12 relative of the exact rational |P(w) / w|."""
+
+        def close(got, ratio2):
+            assert got == pytest.approx(math.sqrt(ratio2), rel=1e-12)
+
+        stream = Stream(2718)
+        polys = [
+            random_normalized_poly(n, stream.derive(n).derive(trial))
+            for n in range(2, 13)
+            for trial in range(10)
+        ]
+        for cs in builder_oracle_sets():
+            lo2, hi2 = exact_normalized_ratios([0j, *_normalized_coeffs(cs)], cs)
+            lo, hi = _normalized_extremes(cs)
+            close(lo, lo2)
+            close(hi, hi2)
+            polys.append(poly_from_critical_points(cs))
+        for p in polys:
+            coeffs = list(p.coeffs)
+            for wit in _normalized_witnesses(p):
+                close(wit.quotient, exact_normalized_ratios(coeffs, [wit.w])[0])
+            _, res = mlp_check(p, OrbitConfig(max_iters=100))
+            close(res.ratio, exact_normalized_ratios(coeffs, [res.w0])[0])
 
     def test_no_poly_and_no_divided_difference_per_objective_call(self, monkeypatch):
         built = []
@@ -258,6 +281,22 @@ class TestDualSearch:
     def test_consistent_with_full_operation(self):
         state = search_extremal_ds0(3, FAST)
         assert abs(ds0(state.best_poly).ratio - state.objective) <= 1e-10
+
+
+class TestSearchCommands:
+    def test_objectives_reach_the_conjectured_values(self, tmp_path):
+        """The s0 and ds0 commands of perfbench's search-dynamics workload,
+        held to its gate: exit 0 and an objective within 1e-6 of (n-1)/n or
+        1/n."""
+        from smale_lab import cli
+
+        out = tmp_path / "report.json"
+        for seed in range(1, 13):
+            for mode, n, want in (("s0", 3, 2 / 3), ("ds0", 4, 1 / 4)):
+                argv = ["search", "--mode", mode, "--degree", str(n), "--restarts", "8"]
+                assert cli.run([*argv, "--seed", str(seed), "--out", str(out)]) == 0
+                objective = json.loads(out.read_text())["state"]["objective"]
+                assert abs(objective - want) <= 1e-6, (mode, seed, objective)
 
 
 class TestExtremalFamily:

@@ -31,7 +31,6 @@ from smale_lab.smale import (
     bound_report,
     ds0,
     ds_at,
-    quotients_at_zero,
     s0,
     s_at,
     sample_points,
@@ -157,22 +156,14 @@ class TestNormalized:
         with pytest.raises(PreconditionError):
             s0(from_coeffs([0, 2, 1]))
 
-    def test_quotients_at_zero_match_divided_difference_bitwise(self):
-        stream = Stream(3141)
-        for trial in range(100):
-            st_ = stream.derive(trial)
-            p = random_normalized_poly(2 + trial % 11, st_)
-            points = [st_.complex_in_disk(3.0) for _ in range(5)]
-            want = [abs(divided_difference(p, c, 0.0 + 0.0j)) for c in points]
-            assert quotients_at_zero(p.coeffs[1:], points) == want
-
-    @pytest.mark.parametrize("c", [complex(math.nan, 0.0), complex(0.0, -math.inf)])
-    def test_quotients_at_zero_reject_a_non_finite_point(self, c):
-        with pytest.raises(DomainError) as chain:
-            divided_difference(CUBIC, c, 0.0 + 0.0j)
-        with pytest.raises(DomainError) as direct:
-            quotients_at_zero(CUBIC.coeffs[1:], [1.0 + 0.0j, c])
-        assert str(direct.value) == str(chain.value)
+    def test_large_coefficient_passes_no_critical_test_at_zero(self):
+        # z + 1e12 z^3: both critical points have w^2 = -1/(3e12), so
+        # P(w)/w = 1 + 1e12 w^2 = 2/3.  A critical-point test at z = 0 on
+        # the scale of the coefficients (|a_1| = 1 against 1e-10 * 3e12)
+        # would reject the point P is normalized at.
+        p = from_coeffs([0, 1, 0, 1e12])
+        assert s0(p).ratio == pytest.approx(2 / 3, rel=1e-12)
+        assert ds0(p).ratio == pytest.approx(2 / 3, rel=1e-12)
 
     def test_extremal_family_values(self):
         for n in range(2, 11):
