@@ -14,8 +14,10 @@ vertex; the reported best polynomial is the one Poly a search builds.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cstar import (
     CStarElement,
@@ -73,17 +75,16 @@ class SearchState:
 
 def critical_points_from_params(params) -> list[complex]:
     """Decode (log r, angle) pairs into critical points."""
-    cs = []
-    for j in range(0, len(params), 2):
-        r = math.exp(params[j])
-        cs.append(complex(r * math.cos(params[j + 1]), r * math.sin(params[j + 1])))
-    return cs
+    exp, cos, sin = math.exp, math.cos, math.sin
+    it = iter(params)
+    return [complex((r := exp(lr)) * cos(t), r * sin(t)) for lr, t in zip(it, it)]
 
 
 def _normalized_coeffs(cs) -> list[complex]:
     """Coefficients a_1 .. a_n of the normalized polynomial whose critical
-    points are exactly cs; only q(0) = 0 (a zero or underflowed product of
-    the cs) is checked, as a DomainError.
+    points are exactly cs.  A zero (or underflowed) product of the cs, a
+    non-finite coefficient (which a non-finite point makes) and a zero
+    leading coefficient raise DomainError, the last two with Poly's messages.
 
     The derivative is q(z) = prod (z - c_j) divided by q(0), so P'(0) is
     exactly 1.0, and integrating with P(0) = 0 gives the coefficients
@@ -92,8 +93,15 @@ def _normalized_coeffs(cs) -> list[complex]:
     q0, *rest = monic_coeffs(cs)
     if q0 == 0:
         raise DomainError("critical points must be nonzero: their product is 0")
-    coeffs = [1.0 + 0.0j]
-    coeffs.extend(c / q0 / (i + 2) for i, c in enumerate(rest))
+    coeffs = [1.0 + 0.0j, *[c / q0 / k for k, c in enumerate(rest, 2)]]
+    # a non-finite coefficient makes the sum non-finite; an overflowing sum
+    # of finite ones finds none below
+    if not cmath.isfinite(sum(coeffs)):
+        for a in coeffs:
+            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                raise DomainError(f"coefficient must be finite, got {a!r}")
+    if abs(coeffs[-1]) == 0.0:
+        raise DomainError("leading coefficient must be nonzero")
     return coeffs
 
 
@@ -102,25 +110,13 @@ def poly_from_critical_points(cs) -> Poly:
     return Poly((0.0 + 0.0j, *_normalized_coeffs(cs)))
 
 
-def _normalized_extremes(cs) -> tuple[float, float]:
-    """(min, max) over critical points of |P(c)/c| for the decoded poly;
-    P'(0) = 1 exactly, so no rescaling is needed.
-
-    Runs on the plain coefficient list, with no Poly.  A non-finite
-    coefficient (which a non-finite point makes) and a zero leading
-    coefficient still raise DomainError, with the messages of Poly.
-    """
-    coeffs = _normalized_coeffs(cs)
-    for a in coeffs:
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise DomainError(f"coefficient must be finite, got {a!r}")
-    if abs(coeffs[-1]) == 0.0:
-        raise DomainError("leading coefficient must be nonzero")
-    vals = quotient_moduli(coeffs[-1], coeffs[-2::-1], cs)
-    return min(vals), max(vals)
-
-
 def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
+    """Seeded simplex restarts over the 2(n-1) critical-point parameters.
+
+    Each objective call is one pass: decode, the collision loop, the one
+    normalization, one ``quotient_moduli`` pass, and only the extreme its
+    direction needs (-min for s0, max for ds0).
+    """
     # imported on first use: callers that never search skip its load time
     from .simplex import nelder_mead
 
@@ -132,12 +128,13 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
 
     def objective(x) -> float:
         cs = critical_points_from_params(x)
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                if abs(cs[i] - cs[j]) < _COLLISION_TOL:
-                    return math.inf
-        smin, smax = _normalized_extremes(cs)
-        return sign * (smin if maximize else smax)
+        for c, d in combinations(cs, 2):
+            if abs(c - d) < _COLLISION_TOL:
+                return math.inf
+        coeffs = _normalized_coeffs(cs)
+        vals = quotient_moduli(coeffs[-1], coeffs[-2::-1], cs)
+        # -1.0 * v, the old sign, is exactly -v
+        return -min(vals) if maximize else max(vals)
 
     stream = Stream(cfg.seed, _STREAM_SEARCH).derive(n).derive(1 if maximize else 2)
     best_val: float | None = None

@@ -8,6 +8,12 @@ unset: the same initial simplex, bound handling, coefficients, operation
 order and stop test, so every float agrees.  The one deliberate difference
 is the vertex sort, which is stable with NaN last; scipy's ``argsort`` may
 order ties by whichever sort numpy picks for the host CPU.
+
+At these sizes an iteration's bookkeeping costs about as much as an
+objective call, so it is done once where it can be: the coefficient pairs
+once per run, the centroid paired with the worst vertex and the bounds once
+per iteration, each trial point computed and clipped in one pass, and the
+value half of the stop test on the worst value alone.
 """
 
 from __future__ import annotations
@@ -57,75 +63,78 @@ def nelder_mead(
     n = len(x0)
     dim = float(n)
     rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    # (a, b) of each trial point a * xbar - b * worst; the inside contraction
+    # is (1 - psi) * xbar + psi * worst, as negating an operand is exact
+    reflect, expand = (1 + rho, rho), (1 + rho * chi, rho * chi)
+    outside, inside = (1 + psi * rho, psi * rho), (1 - psi, -psi)
 
-    x0 = [float(v) for v in x0]
+    # no bounds clip nothing: no float is below -inf or above inf
     if bounds is None:
-        def clip(x):
-            return x
-    else:
-        lower = [lo for lo, _ in bounds]
-        upper = [hi for _, hi in bounds]
-        if any(lo > hi for lo, hi in zip(lower, upper)):
-            raise ValueError("a lower bound is greater than its upper bound")
+        bounds = [(-math.inf, math.inf)] * n
+    lower = [lo for lo, _ in bounds]
+    upper = [hi for _, hi in bounds]
+    if any(lo > hi for lo, hi in zip(lower, upper)):
+        raise ValueError("a lower bound is greater than its upper bound")
 
-        def clip(x):
-            # NaN passes through, as in numpy's clip
-            return tuple([
-                lo if v < lo else hi if v > hi else v
-                for v, lo, hi in zip(x, lower, upper)
-            ])
+    def clip(x):
+        # NaN passes through, as in numpy's clip
+        return tuple([
+            lo if v < lo else hi if v > hi else v
+            for v, lo, hi in zip(x, lower, upper)
+        ])
 
-        x0 = clip(x0)
+    def toward(mwb, ab):
+        # clip(a * xbar - b * worst), from rows (xbar_i, worst_i, lower_i, upper_i)
+        a, b = ab
+        return tuple([
+            lo if (v := a * m - b * w) < lo else hi if v > hi else v
+            for m, w, lo, hi in mwb
+        ])
 
-    sim = [tuple(x0)]
+    x0 = clip([float(v) for v in x0])
+    sim = [x0]
     for k in range(n):
         y = list(x0)
         y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
         sim.append(tuple(y))
-    if bounds is not None:
-        # a vertex pushed past an upper bound is reflected back inside, so
-        # clipping cannot collapse the simplex onto the bound
-        sim = [
-            clip([2 * hi - v if v > hi else v for v, hi in zip(x, upper)])
-            for x in sim
-        ]
+    # a vertex pushed past an upper bound is reflected back inside, so
+    # clipping cannot collapse the simplex onto the bound
+    sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(x, upper)]) for x in sim]
 
     verts = sorted([(func(x), x) for x in sim], key=_sort_key)
     nfev = n + 1
     iterations = 1
     while iterations < maxiter:
         fbest, best = verts[0]
-        if all([abs(fbest - f) <= fatol for f, _ in verts[1:]]) and all(
+        # values are sorted with NaN last and rounding is monotone, so every
+        # value is within fatol of the best exactly when the worst one is
+        if abs(fbest - verts[-1][0]) <= fatol and all(
             abs(v - b) <= xatol for _, x in verts[1:] for v, b in zip(x, best)
         ):
             break
 
         fworst, worst = verts.pop()
         xbar = [reduce(add, col) / n for col in zip(*[x for _, x in verts])]
-
-        def toward(a, b):
-            return clip(tuple([a * m - b * w for m, w in zip(xbar, worst)]))
-
-        xr = toward(1 + rho, rho)
+        mwb = list(zip(xbar, worst, lower, upper))
+        xr = toward(mwb, reflect)
         fxr = func(xr)
         nfev += 1
         new = None
         if fxr < fbest:
-            xe = toward(1 + rho * chi, rho * chi)
+            xe = toward(mwb, expand)
             fxe = func(xe)
             nfev += 1
             new = (fxe, xe) if fxe < fxr else (fxr, xr)
         elif fxr < verts[-1][0]:
             new = (fxr, xr)
         elif fxr < fworst:
-            xc = toward(1 + psi * rho, psi * rho)
+            xc = toward(mwb, outside)
             fxc = func(xc)
             nfev += 1
             if fxc <= fxr:
                 new = (fxc, xc)
         else:
-            # (1 - psi) * xbar + psi * worst: negating an operand is exact
-            xcc = toward(1 - psi, -psi)
+            xcc = toward(mwb, inside)
             fxcc = func(xcc)
             nfev += 1
             if fxcc < fworst:
@@ -137,7 +146,7 @@ def nelder_mead(
             # shrink toward the best vertex
             verts.append((fworst, worst))
             for j in range(1, n + 1):
-                x = clip(tuple([b + sigma * (v - b) for v, b in zip(verts[j][1], best)]))
+                x = clip([b + sigma * (v - b) for v, b in zip(verts[j][1], best)])
                 verts[j] = (func(x), x)
             nfev += n
             verts.sort(key=_sort_key)

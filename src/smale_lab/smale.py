@@ -273,9 +273,9 @@ def _refined(kernel: _QuotientKernel, scored, sampler: SampleConfig):
     """Best sampled (value, z, witness) of the minimized quotient, then
     simplex refinement of its ratio surface from the top starts.
 
-    ``scored`` holds (ratio, z, witness) best first.  A refined point wins
-    only when strictly larger, so ties keep the sampled point, then the
-    earliest start.
+    ``scored`` holds (ratio, z, |P'(z)|, quotients) best first; only the
+    winner's witness is built.  A refined point wins only when strictly
+    larger, so ties keep the sampled point, then the earliest start.
     """
     # imported on first use: callers that never refine skip its load time
     from .simplex import nelder_mead
@@ -287,9 +287,9 @@ def _refined(kernel: _QuotientKernel, scored, sampler: SampleConfig):
             return math.inf
         return -(min(qs) * (1.0 / dabs))
 
-    best_val, best_z, best_wit = scored[0]
+    best_val, best_z, dabs, qs = scored[0]
     refined_z = None
-    for _, z0, _ in scored[: sampler.refine_starts]:
+    for _, z0, _, _ in scored[: sampler.refine_starts]:
         res = nelder_mead(
             objective,
             [z0.real, z0.imag],
@@ -302,8 +302,9 @@ def _refined(kernel: _QuotientKernel, scored, sampler: SampleConfig):
             best_val = val
             refined_z = complex(res.x[0], res.x[1])
     if refined_z is not None:
-        best_z, best_wit = refined_z, kernel.extreme(*kernel.scan(refined_z), True)
-    return best_val, best_z, best_wit
+        best_z = refined_z
+        dabs, qs = kernel.scan(refined_z)
+    return best_val, best_z, kernel.extreme(dabs, qs, True)
 
 
 def _upper(name, bound, observed):
@@ -347,9 +348,9 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
     high_max: dict[int, float] = {k: 0.0 for k in range(2, n + 1)}
     for z in pts:
         dval, qs = kernel.scan(z)
-        for scored, smallest in ((s_scored, True), (ds_scored, False)):
-            wit = kernel.extreme(dval, qs, smallest)
-            scored.append((wit.ratio, z, wit))
+        # the ratios kernel.extreme gives; witnesses are built for winners only
+        s_scored.append((min(qs) * (1.0 / dval), z, dval, qs))
+        ds_scored.append((max(qs) * (1.0 / dval), z, dval, qs))
         # the higher-order theorem is an exists-a-witness statement; the
         # quantity grows with |P(z) - P(w)|, so the critical point with the
         # nearest critical VALUE realizes it (the quotient minimizer does
@@ -361,9 +362,12 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
 
     s_scored.sort(key=lambda item: item[0], reverse=True)
     s_best, s_z, s_wit = _refined(kernel, s_scored, sampler)
-    ds_best, ds_z, ds_wit = min(ds_scored, key=lambda item: item[0])
+    ds_best, ds_z, ds_dval, ds_qs = min(ds_scored, key=lambda item: item[0])
     if 1.0 / n < ds_best:
         ds_best, ds_z = 1.0 / n, None  # the limit as |z| -> infinity
+        witnesses = (s_wit,)
+    else:
+        witnesses = (s_wit, kernel.extreme(ds_dval, ds_qs, False))
 
     checks = [_upper(name, b, s_best) for name, b in s_upper_bounds(n)]
     checks.extend(_lower(name, b, ds_best) for name, b in ds_lower_bounds(n))
@@ -389,7 +393,7 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
         ds_estimate=ds_best,
         s0=s0_val,
         ds0=ds0_val,
-        witnesses=(s_wit,) if ds_z is None else (s_wit, ds_wit),
+        witnesses=witnesses,
         bound_checks=tuple(checks),
         s_argmax_z=s_z,
         ds_argmin_z=ds_z,

@@ -2,8 +2,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, settings
 
+from smale_lab import simplex
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
     Poly,
@@ -13,6 +15,7 @@ from smale_lab.polycore import (
     require_finite,
 )
 from smale_lab.rng import Stream
+from smale_lab.search import SearchConfig, search_extremal_ds0, search_extremal_s0
 from smale_lab.verify import XC
 
 settings.register_profile(
@@ -195,3 +198,23 @@ def assert_escapes(coeffs, z):
     assert mod >= 1, f"|z| = {float(mod)} < 1"
     margin = _abs_down(a[-1]) * mod - sum(_abs_up(c) for c in a[:-1])
     assert margin >= 2, f"escape margin {float(margin)} < 2"
+
+
+class _Caught(Exception):
+    pass
+
+
+def search_objective(maximize):
+    """The objective that search_extremal_s0 (maximize) or _ds0 hands the
+    simplex, caught at the simplex call."""
+    caught = []
+
+    def catch(func, x0, **kwargs):
+        caught.append(func)
+        raise _Caught
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "nelder_mead", catch)
+        with pytest.raises(_Caught):
+            (search_extremal_s0 if maximize else search_extremal_ds0)(2, SearchConfig(restarts=1))
+    return caught[0]

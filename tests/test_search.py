@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import convolve_oracle, polar
+from conftest import convolve_oracle, polar, search_objective
 from smale_lab import polycore, rootfind, search, simplex
 from smale_lab.dynamics import OrbitConfig, mlp_check
 from smale_lab.errors import (
@@ -14,8 +14,8 @@ from smale_lab.errors import (
 )
 from smale_lab.polycore import (
     POLY_RESIDUAL_TOL,
+    Poly,
     derivative,
-    divided_difference,
     evaluate,
     from_roots,
     is_normalized,
@@ -24,7 +24,6 @@ from smale_lab.rng import Stream
 from smale_lab.search import (
     SearchConfig,
     _normalized_coeffs,
-    _normalized_extremes,
     critical_points_from_params,
     extremal_family,
     hunt_mlp,
@@ -60,6 +59,35 @@ def chained_builder(cs):
     q = convolve_oracle(cs)
     dp = [1.0 + 0.0j] + [c / q[0] for c in q[1:]]
     return [0.0 + 0.0j] + [c / (i + 1) for i, c in enumerate(dp)]
+
+
+def chained_extremes(cs):
+    """(min, max) over cs of |P(c)/c| for the normalized P whose critical
+    points are cs, by the chain the one-pass objective replaced, written out:
+    chained_builder's coefficients, Poly's checks, one Horner loop per point.
+    Raises the DomainError that chain raised."""
+    if convolve_oracle(cs)[0] == 0:
+        raise DomainError("critical points must be nonzero: their product is 0")
+    coeffs = list(Poly(tuple(chained_builder(cs))).coeffs[1:])
+    vals = []
+    for c in cs:
+        q = coeffs[-1]
+        for b in coeffs[-2::-1]:
+            q = q * c + b
+        vals.append(abs(q))
+    return min(vals), max(vals)
+
+
+def chained_objective(x, maximize):
+    """The search objective as the chain critical_points_from_params ->
+    collision check -> chained_extremes, signed for minimization."""
+    cs = critical_points_from_params(x)
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            if abs(cs[i] - cs[j]) < search._COLLISION_TOL:
+                return math.inf
+    smin, smax = chained_extremes(cs)
+    return -1.0 * smin if maximize else smax
 
 
 class TestParametrization:
@@ -104,8 +132,9 @@ class TestParametrization:
         assert chain_rejected == 0
 
     def test_float_quotients_match_the_exact_ratios(self):
-        """_normalized_witnesses, _normalized_extremes and mlp_check's ratio
-        each lie within 1e-12 relative of the exact rational |P(w) / w|."""
+        """_normalized_witnesses, the objective's chain (which the objective
+        equals bit for bit) and mlp_check's ratio each lie within 1e-12
+        relative of the exact rational |P(w) / w|."""
 
         def close(got, ratio2):
             assert got == pytest.approx(math.sqrt(ratio2), rel=1e-12)
@@ -118,7 +147,7 @@ class TestParametrization:
         ]
         for cs in builder_oracle_sets():
             lo2, hi2 = exact_normalized_ratios([0j, *_normalized_coeffs(cs)], cs)
-            lo, hi = _normalized_extremes(cs)
+            lo, hi = chained_extremes(cs)
             close(lo, lo2)
             close(hi, hi2)
             polys.append(poly_from_critical_points(cs))
@@ -180,14 +209,14 @@ class TestParametrization:
         ids=["nan", "inf-imag", "inf-real", "overflow"],
     )
     def test_non_finite_sets_rejected_as_by_the_chain(self, cs):
-        """_normalized_extremes raises the DomainError the Poly and
-        divided_difference chain raised, with the same message."""
+        """The one normalization raises the DomainError that Poly raised on
+        the chain's coefficients, with the same message."""
         with pytest.raises(DomainError) as chain:
-            p = poly_from_critical_points(cs)
-            [divided_difference(p, c, 0.0 + 0.0j) for c in cs]
-        with pytest.raises(DomainError) as direct:
-            _normalized_extremes(cs)
-        assert str(direct.value) == str(chain.value)
+            chained_extremes(cs)
+        for build in (_normalized_coeffs, poly_from_critical_points):
+            with pytest.raises(DomainError) as direct:
+                build(cs)
+            assert str(direct.value) == str(chain.value)
 
     @pytest.mark.parametrize(
         "cs",
@@ -198,9 +227,58 @@ class TestParametrization:
         """P'(0) = 1 needs prod c_j != 0: a zero critical point, or a
         product that underflows, is a DomainError and not a bare
         ZeroDivisionError."""
-        for build in (poly_from_critical_points, _normalized_extremes):
+        for build in (poly_from_critical_points, _normalized_coeffs, chained_extremes):
             with pytest.raises(DomainError, match="product is 0"):
                 build(cs)
+
+    @pytest.mark.parametrize("maximize", [True, False], ids=["s0", "ds0"])
+    def test_objective_is_the_chain_bitwise(self, maximize):
+        """Over 2,000 seeded parameter vectors of degree 2-12, the objective
+        equals the chain it replaced bit for bit; about one in seven plants a
+        pair at distance 0.5 or 2 times the collision tolerance."""
+        objective = search_objective(maximize)
+        lo, hi = search._LOG_RADIUS_BOUNDS
+        stream = Stream(2611)
+        collided = 0
+        for trial in range(2000):
+            st = stream.derive(trial)
+            n = 2 + trial % 11
+            x = []
+            for _ in range(n - 1):
+                x += [st.uniform_in(lo, hi), st.uniform_in(-8.0, 8.0)]
+            if n > 2 and trial % 7 == 0:
+                gap = (0.5 if trial % 14 else 2.0) * search._COLLISION_TOL
+                x[2:4] = [x[0], x[1] + gap / math.exp(x[0])]
+            want = chained_objective(x, maximize)
+            collided += want == math.inf
+            assert objective(x).hex() == want.hex(), (trial, x)
+        assert 100 < collided < 200
+
+    def test_objective_is_inf_for_a_colliding_pair(self):
+        for maximize in (True, False):
+            objective = search_objective(maximize)
+            # two critical points 5e-7 apart on the unit circle, then 2e-6
+            assert objective([0.0, 1.0, 0.0, 1.0 + 5e-7]) == math.inf
+            assert math.isfinite(objective([0.0, 1.0, 0.0, 1.0 + 2e-6]))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([-800.0, 0.0], "product is 0"),
+            ([math.nan, 0.0], "coefficient must be finite"),
+            ([math.log(1e150), 0.0, math.log(1e150), 2.0, math.log(1e150), 4.0],
+             "coefficient must be finite"),
+            ([math.log(1e200), 0.0, math.log(1e200), 1e-100], "leading coefficient must be nonzero"),
+        ],
+        ids=["zero-product", "nan", "overflow", "zero-leading"],
+    )
+    def test_objective_raises_as_the_chain(self, x, message):
+        with pytest.raises(DomainError, match=message) as chain:
+            chained_objective(x, True)
+        for maximize in (True, False):
+            with pytest.raises(DomainError) as direct:
+                search_objective(maximize)(x)
+            assert str(direct.value) == str(chain.value)
 
     def test_param_decode(self):
         cs = critical_points_from_params([0.0, 0.0, math.log(2.0), math.pi / 2])

@@ -1,8 +1,11 @@
+import inspect
 import math
+import sys
 
 import pytest
 from scipy.optimize import minimize
 
+from conftest import search_objective
 from smale_lab.rng import Stream
 from smale_lab.simplex import nelder_mead
 
@@ -47,6 +50,72 @@ def assert_matches_scipy(f, values, x0, opts, bounds=None):
     assert res.x == tuple(float(v) for v in ref.x)
     assert res.fun == float(ref.fun)
     assert (res.nfev, res.nit) == (ref.nfev, ref.nit)
+    return res
+
+
+def root_distance(st: Stream, n: int):
+    """Seeded weighted sum of sqrt|x_i - c_i|, minimum 0 at c.
+
+    It is concave along each coordinate away from c, so contractions are
+    often rejected and the simplex shrinks; its values do not tie on the
+    seeds used below.
+    """
+    c = [st.uniform_in(-2.0, 2.0) for _ in range(n)]
+    w = [st.uniform_in(0.5, 3.0) for _ in range(n)]
+    values = []
+
+    def f(x):
+        val = sum(math.sqrt(abs(wi * (float(v) - ci))) * (1 + 0.1 * i)
+                  for i, (v, ci, wi) in enumerate(zip(x, c, w)))
+        values.append(val)
+        return val
+
+    return f, values
+
+
+# the line of nelder_mead that only each branch runs
+BRANCH_LINES = {
+    "expansion": "xe = toward(mwb, expand)",
+    "outside contraction": "xc = toward(mwb, outside)",
+    "inside contraction": "xcc = toward(mwb, inside)",
+    "shrink": "verts.append((fworst, worst))",
+}
+
+
+def branches_taken(f, x0, opts, bounds=None):
+    """The BRANCH_LINES keys whose line nelder_mead ran from x0."""
+    lines, first = inspect.getsourcelines(nelder_mead)
+    code = nelder_mead.__code__
+    ran = set()
+
+    def trace_line(frame, event, arg):
+        if event == "line":
+            ran.add(lines[frame.f_lineno - first].strip())
+        return trace_line
+
+    def trace_call(frame, event, arg):
+        return trace_line if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_call)
+    try:
+        nelder_mead(f, x0, bounds=bounds, **opts)
+    finally:
+        sys.settrace(previous)
+    return {name for name, line in BRANCH_LINES.items() if line in ran}
+
+
+def shrank(res, n):
+    # an iteration evaluates 1 or 2 points, or 2 + n when it shrinks
+    return res.nfev > n + 1 + 2 * (res.nit - 1)
+
+
+def search_start(st: Stream, m: int):
+    x0 = []
+    for _ in range(m):
+        x0.append(st.uniform_in(math.log(0.3), math.log(3.0)))
+        x0.append(st.uniform_in(0.0, 2.0 * math.pi))
+    return x0
 
 
 def test_refine_settings_match_scipy():
@@ -64,11 +133,79 @@ def test_bounded_adaptive_search_settings_match_scipy(m):
     for trial in range(12):
         st = stream.derive(trial)
         f, values = quadratic(st, 2 * m)
-        x0 = []
-        for _ in range(m):
-            x0.append(st.uniform_in(math.log(0.3), math.log(3.0)))
-            x0.append(st.uniform_in(0.0, 2.0 * math.pi))
+        x0 = search_start(st, m)
         assert_matches_scipy(f, values, x0, SEARCH, search_bounds(m))
+
+
+def test_every_branch_matches_scipy_in_two_dimensions():
+    stream = Stream(4205).derive(2)
+    taken = set()
+    for trial in (0, 4, 13):
+        st = stream.derive(trial)
+        f, values = root_distance(st, 2)
+        x0 = [st.uniform_in(-3.0, 3.0), st.uniform_in(-3.0, 3.0)]
+        res = assert_matches_scipy(f, values, x0, REFINE)
+        taken |= branches_taken(f, x0, REFINE)
+        if trial == 13:
+            assert shrank(res, 2)
+    assert taken == set(BRANCH_LINES)
+
+
+def test_every_branch_matches_scipy_under_search_bounds():
+    # six dimensions, the bounds of a degree-4 search; 120 iterations end
+    # before the simplex collapses onto float ties
+    opts = {**SEARCH, "maxiter": 120}
+    stream = Stream(4205).derive(6)
+    for trial in (0, 4, 9):
+        st = stream.derive(trial)
+        f, values = root_distance(st, 6)
+        x0 = search_start(st, 3)
+        res = assert_matches_scipy(f, values, x0, opts, search_bounds(3))
+        assert shrank(res, 6)
+        assert branches_taken(f, x0, opts, search_bounds(3)) == set(BRANCH_LINES)
+
+
+@pytest.mark.parametrize(
+    "n, maximize, maxiter, trials",
+    [
+        # the full 800 iterations at n = 3 end on a plateau of tied values
+        (3, True, 150, (0, 1, 2)),
+        (3, False, 150, (0, 1, 2)),
+        (4, True, 800, (1, 3)),
+        (4, False, 800, (1, 3)),
+    ],
+    ids=["s0-3", "ds0-3", "s0-4", "ds0-4"],
+)
+def test_extremal_objective_matches_scipy(n, maximize, maxiter, trials):
+    objective = search_objective(maximize)
+    values = []
+
+    def f(x):
+        val = objective(tuple(float(v) for v in x))
+        values.append(val)
+        return val
+
+    opts = {**SEARCH, "maxiter": maxiter}
+    stream = Stream(4206).derive(n).derive(int(maximize))
+    for trial in trials:
+        x0 = search_start(stream.derive(trial), n - 1)
+        assert_matches_scipy(f, values, x0, opts, search_bounds(n - 1))
+
+
+def test_stop_waits_for_every_value():
+    # a steep bowl: the vertices come within xatol of the best long before
+    # every value comes within fatol of it, so the value test decides
+    stream = Stream(4207)
+    opts = {"maxiter": 400, "xatol": 1e-3, "fatol": 1e-6}
+    for trial in range(10):
+        st = stream.derive(trial)
+        f, values = quadratic(st, 2)
+
+        def steep(x, f=f):
+            return 1e12 * f(x)
+
+        x0 = [st.uniform_in(-3.0, 3.0), st.uniform_in(-3.0, 3.0)]
+        assert assert_matches_scipy(steep, values, x0, opts).nit < 400
 
 
 def test_start_near_upper_bound_reflects_inside():
