@@ -1,19 +1,21 @@
 """Paired benchmark runs of a base revision against the working tree.
 
-    python3 bench/pair.py --label NAME [--base REV] [--pairs N] [--seconds S]
-                          [--seed0 K] [--workload W ...] [--trace 0|1]
+    python3 bench/pair.py --label NAME --base REV [--pairs N] [--seed0 K]
+                          [--workload W ...] [--trace 0|1]
 
 The base revision is exported with ``git archive`` and the working tree
 (tracked and untracked files that git does not ignore) is copied, each into
 a fresh temporary directory.  For pair i (seed K + i) and each workload,
 ``perfbench/run.py --workload W --seed K+i --seconds S --trace T`` runs once
-in each tree, the parent first on even pairs and the change first on odd
-ones, so slow drift of a shared host falls on both sides alike.
+in each tree, where S is ``run_seconds`` from ``BENCHMARK.json``.  The
+parent runs first on even pairs and the change first on odd ones, so slow
+drift of a shared host falls on both sides alike.
 
 The result goes to ``BENCH_<NAME>.json`` in the working tree:
 
-* ``environment``: both commits, whether the working tree differed from
-  HEAD, the Python version, ``nproc``, the pairs, seconds and seeds;
+* ``environment``: both commits, whether the copied tree differed from
+  HEAD (untracked files count), the Python version, ``nproc``, the pairs,
+  seconds and seeds;
 * ``workloads.W.metrics.M``: every sample per side in pair order, each
   side's median and quartiles, the pairs each side won (a tie counts for
   neither), the ratio of the medians, and the metric's direction and its
@@ -121,9 +123,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--base", default="HEAD", help="the parent revision (default HEAD)")
+    ap.add_argument("--base", required=True, help="the parent revision")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, help="per run (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--seed0", type=int, default=1, help="pair i runs seed seed0 + i")
     ap.add_argument("--workload", action="append", help="repeatable (default: every workload)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
     workloads = args.workload or names
     unknown = sorted(set(workloads) - set(names))
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
     environment = {
         "base_commit": git("rev-parse", args.base),
         "change_commit": git("rev-parse", "HEAD"),
-        "change_has_uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change_has_uncommitted_edits": bool(git("status", "--porcelain")),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),

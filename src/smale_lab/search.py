@@ -28,7 +28,14 @@ from .cstar import (
 )
 from .dynamics import OrbitConfig, OrbitResult, mlp_check
 from .errors import DomainError, PreconditionError, SmaleLabError
-from .polycore import CRITICAL_TOL, Poly, from_coeffs, monic_coeffs, poly_to_json
+from .polycore import (
+    CRITICAL_TOL,
+    Poly,
+    from_coeffs,
+    monic_coeffs,
+    poly_to_json,
+    require_finite,
+)
 from .rng import Stream
 from .rootfind import cached_critical_points
 from .smale import CONJ_SLACK, SAMPLER_MARGIN, quotient_moduli
@@ -94,12 +101,10 @@ def _normalized_coeffs(cs) -> list[complex]:
     if q0 == 0:
         raise DomainError("critical points must be nonzero: their product is 0")
     coeffs = [1.0 + 0.0j, *[c / q0 / k for k, c in enumerate(rest, 2)]]
-    # a non-finite coefficient makes the sum non-finite; an overflowing sum
-    # of finite ones finds none below
+    # a non-finite coefficient makes the sum non-finite; the loop names it
     if not cmath.isfinite(sum(coeffs)):
         for a in coeffs:
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise DomainError(f"coefficient must be finite, got {a!r}")
+            require_finite(a, "coefficient")
     if abs(coeffs[-1]) == 0.0:
         raise DomainError("leading coefficient must be nonzero")
     return coeffs
@@ -133,7 +138,6 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
                 return math.inf
         coeffs = _normalized_coeffs(cs)
         vals = quotient_moduli(coeffs[-1], coeffs[-2::-1], cs)
-        # -1.0 * v, the old sign, is exactly -v
         return -min(vals) if maximize else max(vals)
 
     stream = Stream(cfg.seed, _STREAM_SEARCH).derive(n).derive(1 if maximize else 2)
