@@ -9,6 +9,12 @@ themselves remain approximate (they come from the root finder); their
 residuals are recorded on the certificate, and the tightened tolerance
 absorbs their effect.
 
+Every exact polynomial value comes from one core, the exact twin of
+smale._QuotientKernel.deflate: _expand gives the monic coefficients of
+prod (x - a) from the roots, and _divide is synthetic division by (X - x).
+Dividing P by (X - z) gives B with B(z) = P'(z) and, at every w,
+P(z) - P(w) = B(w) (z - w).
+
 Over C^k the witness set is a product of per-coordinate critical points;
 the re-check builds its exact rows once per coordinate and takes the
 extremes over the product from them with cstar.product_extremes.
@@ -25,6 +31,7 @@ from fractions import Fraction
 
 from .cstar import product_extremes
 from .errors import DomainError, PreconditionError
+from .polycore import require_finite
 
 # Half of the float comparison slack (CONJ_SLACK = 1e-9), exactly.
 TIGHT_SLACK = Fraction(1, 2 * 10 ** 9)
@@ -41,6 +48,7 @@ class XC:
 
     @classmethod
     def of(cls, z: complex) -> "XC":
+        z = require_finite(z, "exact re-check input")
         return cls(Fraction(z.real), Fraction(z.imag))
 
     def __add__(self, other: "XC") -> "XC":
@@ -59,22 +67,21 @@ class XC:
         return self.re * self.re + self.im * self.im
 
 
-def _product(factors: list[XC]) -> XC:
-    acc = XC(Fraction(1), Fraction(0))
-    for f in factors:
-        acc = acc * f
-    return acc
+def _expand(roots: list[XC]) -> list[XC]:
+    """Exact monic coefficients of prod (x - a) over roots, highest first."""
+    zero = XC(Fraction(0), Fraction(0))
+    cs = [XC(Fraction(1), Fraction(0))]
+    for a in roots:
+        cs = [c - a * prev for c, prev in zip([*cs, zero], [zero, *cs])]
+    return cs
 
 
-def _derivative_sum(factors: list[XC]) -> XC:
-    acc = XC(Fraction(0), Fraction(0))
-    for j in range(len(factors)):
-        term = XC(Fraction(1), Fraction(0))
-        for i, f in enumerate(factors):
-            if i != j:
-                term = term * f
-        acc = acc + term
-    return acc
+def _divide(cs: list[XC], x: XC) -> tuple[list[XC], XC]:
+    """Synthetic division of the poly cs (highest first) by (X - x): the
+    quotient's coefficients, highest first, and the value at x."""
+    acc = cs[0]
+    steps = [acc] + [acc := acc * x + c for c in cs[1:]]
+    return steps[:-1], steps[-1]
 
 
 @dataclass(frozen=True)
@@ -114,18 +121,16 @@ def exact_cstar_quotients(
     tables = []
     strong_smale = strong_dual = True
     for t, (zt, pool) in enumerate(zip(z_coords, pools)):
-        roots = [XC.of(r[t]) for r in root_coords]
         xz = XC.of(zt)
-        factors = [xz - a for a in roots]
-        pz = _product(factors)
-        dz2 = _derivative_sum(factors).abs2()
+        b = _divide(_expand([XC.of(r[t]) for r in root_coords]), xz)[0]
+        dz2 = _divide(b, xz)[1].abs2()
         dp2 = max(dp2, dz2)
         rows = []
         smale_t = dual_t = False
         for w in pool:
             xw = XC.of(w)
-            d2 = (pz - _product([xw - a for a in roots])).abs2()
             gap2 = (xz - xw).abs2()
+            d2 = _divide(b, xw)[1].abs2() * gap2
             rows.append((d2, gap2))
             rhs = gap2 * dz2
             slack = TIGHT_SLACK * max(Fraction(1), d2, rhs)
@@ -156,20 +161,15 @@ def exact_normalized_ratios(
     """Exact squared |P(w)/w| extremes for a normalized coefficient poly."""
     if not witnesses:
         raise PreconditionError("exact re-check needs at least one witness")
-    cs = [XC.of(c) for c in coeffs]
-    lo: Fraction | None = None
-    hi: Fraction | None = None
+    cs = [XC.of(c) for c in reversed(coeffs)]
+    ratios = []
     for w in witnesses:
         xw = XC.of(w)
-        acc = XC(Fraction(0), Fraction(0))
-        for c in reversed(cs):
-            acc = acc * xw + c
-        r2 = acc.abs2() / xw.abs2()
-        if lo is None or r2 < lo:
-            lo = r2
-        if hi is None or r2 > hi:
-            hi = r2
-    return lo, hi
+        w2 = xw.abs2()
+        if w2 == 0:
+            raise PreconditionError("|P(w)/w| is undefined at the witness w = 0")
+        ratios.append(_divide(cs, xw)[1].abs2() / w2)
+    return min(ratios), max(ratios)
 
 
 def confirm_normalized(kind: str, coeffs, witnesses, bound) -> tuple[float, bool]:

@@ -42,6 +42,9 @@ def elementwise_exact(root_coords, z_coords, pools):
             deriv = deriv + _xprod(factors[:j] + factors[j + 1:])
         dz2.append(deriv.abs2())
     dp2 = max(dz2)
+    if dp2 == 0:
+        # a multiple root at z in every coordinate: no ratio has a denominator
+        raise PreconditionError("P'(z) is zero in every coordinate")
     sharp_fac2 = Fraction((n - 1) ** 2, n ** 2)
     dual_fac2 = Fraction(1, n ** 2)
     ratios = []
@@ -179,21 +182,26 @@ class TestExactQuotients:
         # are the critical points; the same moved by up to 3, which makes
         # the strong flags come out True as well as False; the critical
         # points plus z in coordinate 0 only (a zero distance in one row,
-        # no element at z); and Gaussian integers, with Gaussian-integer
-        # roots and z, whose rows tie across rows and coordinates and
-        # sometimes put z on an element
+        # and no element at z unless k = 1); and Gaussian integers, with
+        # Gaussian-integer roots and z, whose rows tie across rows and
+        # coordinates and sometimes put z on an element or on a multiple root
         stream = Stream(411)
         flags, outcomes = set(), set()
-        for n, k in ((2, 4), (3, 2), (4, 3), (5, 2)):
+        # (8, 2), (12, 2) and (20, 1) give the expansion and the divisions
+        # long coefficient lists
+        for n, k in ((2, 4), (3, 2), (4, 3), (5, 2), (8, 2), (12, 2), (20, 1)):
             for trial in range(4):
                 st_ = stream.derive(n).derive(k).derive(trial)
                 roots, z, pools = _draw(st_, n, k)
                 planted = [[w + st_.complex_in_disk(3.0) for w in pool] for pool in pools]
                 on_z = [pools[0] + [z[0]]] + pools[1:]
                 for witnesses in (pools, planted, on_z):
-                    got = exact_cstar_quotients(roots, z, witnesses)
-                    assert got == elementwise_exact(roots, z, witnesses)
-                    flags.add((got.strong_smale_violated, got.strong_dual_violated))
+                    got = outcome(exact_cstar_quotients, roots, z, witnesses)
+                    assert got == outcome(elementwise_exact, roots, z, witnesses)
+                    # only on_z at k = 1 puts z on an element
+                    assert (got is PreconditionError) == (witnesses is on_z and k == 1)
+                    if got is not PreconditionError:
+                        flags.add((got.strong_smale_violated, got.strong_dual_violated))
                 for _ in range(4):
                     roots = [[gaussian_int(st_) for _ in range(k)] for _ in range(n)]
                     z = [gaussian_int(st_, -1, 1) for _ in range(k)]
@@ -208,20 +216,27 @@ class TestExactQuotients:
         assert outcomes == {True, False}
 
     def test_exact_rows_built_once_per_coordinate(self, monkeypatch):
-        # one product per coordinate for P_t(z_t) and one per critical point:
-        # k * n in all, where the element-wise loop needs 3^6 * 6 + 6
+        # per coordinate, one division for B = P_t / (x - z_t), one for
+        # B(z_t) = P_t'(z_t) and one per critical point: k * (|pool| + 2)
+        # = 30 in all, where the element-wise loop needs 3^6 * 6 + 6 products
         calls = []
-        product = verify._product
+        divide = verify._divide
 
-        def counting(factors):
-            calls.append(len(factors))
-            return product(factors)
+        def counting(cs, x):
+            calls.append(len(cs))
+            return divide(cs, x)
 
-        monkeypatch.setattr(verify, "_product", counting)
+        monkeypatch.setattr(verify, "_divide", counting)
         roots, z, pools = _draw(Stream(412), 4, 6)
         assert [len(pool) for pool in pools] == [3] * 6
         exact_cstar_quotients(roots, z, pools)
-        assert len(calls) <= 6 * 4
+        assert len(calls) == 6 * (3 + 2)
+
+    def test_non_finite_input_is_domain_error(self):
+        roots, z, pools = _draw(Stream(413), 3, 2)
+        pools[1] = pools[1] + [complex("nan")]
+        with pytest.raises(DomainError, match="must be finite"):
+            exact_cstar_quotients(roots, z, pools)
 
 
 class TestExactNormalizedRatios:
@@ -246,6 +261,34 @@ class TestExactNormalizedRatios:
             exact_cstar_quotients([[1 + 0j], [-1 + 0j]], [2 + 0j], [])
         with pytest.raises(PreconditionError):
             exact_cstar_quotients([[1 + 0j], [-1 + 0j]], [2 + 0j], [[]])
+
+    def test_matches_power_sum(self):
+        # sum c_i w^i term by term in XC, independent of the synthetic division
+        stream = Stream(414)
+        for n in (1, 2, 5, 12):
+            st_ = stream.derive(n)
+            coeffs = [st_.complex_in_disk(2.0) for _ in range(n + 1)]
+            witnesses = [st_.complex_in_disk(3.0) for _ in range(5)]
+            ratios = []
+            for w in witnesses:
+                xw = XC.of(w)
+                acc, power = XC(Fraction(0), Fraction(0)), XC(Fraction(1), Fraction(0))
+                for c in coeffs:
+                    acc = acc + XC.of(c) * power
+                    power = power * xw
+                ratios.append(acc.abs2() / xw.abs2())
+            assert exact_normalized_ratios(coeffs, witnesses) == (min(ratios), max(ratios))
+
+    def test_witness_at_zero_is_precondition_error(self):
+        coeffs = [0j, 1 + 0j, -0.5 + 0j]
+        with pytest.raises(PreconditionError, match="w = 0"):
+            exact_normalized_ratios(coeffs, [1 + 0j, 0j])
+        with pytest.raises(PreconditionError, match="w = 0"):
+            confirm_normalized("s0_sharp", coeffs, [0j], 0.5)
+
+    def test_non_finite_witness_is_domain_error(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            exact_normalized_ratios([0j, 1 + 0j], [complex("inf")])
 
 
 class TestConfirmNormalized:
