@@ -28,6 +28,7 @@ from .cstar import (
 )
 from .dynamics import OrbitConfig, OrbitResult, mlp_check
 from .errors import DomainError, PreconditionError, SmaleLabError
+from .fanout import fan_out
 from .polycore import (
     CRITICAL_TOL,
     Poly,
@@ -120,7 +121,9 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
 
     Each objective call is one pass: decode, the collision loop, the one
     normalization, one ``quotient_moduli`` pass, and only the extreme its
-    direction needs (-min for s0, max for ds0).
+    direction needs (-min for s0, max for ds0).  Restarts fan out to
+    worker processes; the table is built from their results in restart
+    order.
     """
     # imported on first use: callers that never search skip its load time
     from .simplex import nelder_mead
@@ -141,10 +144,8 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
         return -min(vals) if maximize else max(vals)
 
     stream = Stream(cfg.seed, _STREAM_SEARCH).derive(n).derive(1 if maximize else 2)
-    best_val: float | None = None
-    best_x: list[float] | None = None
-    table = []
-    for r in range(cfg.restarts):
+
+    def restart(r: int) -> tuple[float, list[float]]:
         st = stream.derive(r)
         x0 = []
         for _ in range(m):
@@ -158,11 +159,16 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
             fatol=1e-11,
             bounds=bounds,
         )
-        val = sign * res.fun
+        return sign * res.fun, list(res.x)
+
+    best_val: float | None = None
+    best_x: list[float] | None = None
+    table = []
+    for r, (val, x) in enumerate(fan_out(restart, cfg.restarts)):
         better = best_val is None or (val > best_val if maximize else val < best_val)
         if math.isfinite(val) and better:
             best_val = val
-            best_x = list(res.x)
+            best_x = x
         if best_val is None:
             # every table row records a finite best so far
             break
@@ -243,12 +249,11 @@ def _draw_cstar_instance(st: Stream, n: int, k: int):
     return P, crit, z
 
 
-def _hunt_trial(args):
-    """One hunt trial; pure function of its arguments, safe to parallelize.
-    None (a skipped trial) means the draw found no admissible z; errors,
-    root-find failures included, propagate."""
-    stream_key, trial, n, k, strong, seed = args
-    st = Stream.from_key(stream_key).derive(trial)
+def _hunt_trial(stream: Stream, trial: int, n: int, k: int, strong: bool, seed: int):
+    """One hunt trial; pure function of its arguments.  None (a skipped
+    trial) means the draw found no admissible z; errors, root-find failures
+    included, propagate."""
+    st = stream.derive(trial)
     P, crit, z = _draw_cstar_instance(st, n, k)
     if z is None:
         return None
@@ -320,8 +325,9 @@ def run_hunt(
     so each verdict is exact up to root residuals; candidates failing a
     conjectured inequality are re-decided in exact rational arithmetic
     before being reported.  An empty certificate list is the expected
-    outcome.  Trials are independent; results are merged in trial order,
-    so the report does not depend on the worker count.  A trial is skipped only when its draw
+    outcome.  Trials are independent: with jobs > 1 they fan out to that
+    many worker processes, and results are merged in trial order, so the
+    report does not depend on the worker count.  A trial is skipped only when its draw
     finds no admissible z (one at least SAMPLER_MARGIN from every
     coordinate critical point and not itself critical); an error in any
     trial, a root-find failure included, is raised, never skipped.
@@ -330,15 +336,10 @@ def run_hunt(
         raise DomainError(f"hunts need degree >= 2 and dim >= 1, got {n} and {k}")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    stream_key = Stream(cfg.seed, _STREAM_HUNT).derive(n).derive(k).key
-    work = [(stream_key, t, n, k, strong, cfg.seed) for t in range(trials)]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_hunt_trial, work))
-    else:
-        results = [_hunt_trial(item) for item in work]
+    stream = Stream(cfg.seed, _STREAM_HUNT).derive(n).derive(k)
+    results = fan_out(
+        lambda t: _hunt_trial(stream, t, n, k, strong, cfg.seed), trials, workers=jobs
+    )
 
     certificates: list[Certificate] = []
     skipped = 0
@@ -410,17 +411,18 @@ def hunt_mlp(
     seed: int = 42,
     cfg: OrbitConfig = OrbitConfig(),
 ) -> tuple[list[Certificate], int]:
-    """Dynamics sweep; returns (certificates, number of passing trials)."""
+    """Dynamics sweep; returns (certificates, number of passing trials).
+    Trials fan out to worker processes and merge in trial order."""
+    if degree < 2:
+        raise DomainError("normalized draws need degree >= 2")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     stream = Stream(seed, _STREAM_MLP).derive(degree)
-    certificates = []
-    passed = 0
-    for trial in range(trials):
-        p = random_normalized_poly(degree, stream.derive(trial))
+
+    def trial(t: int) -> Certificate | None:
+        p = random_normalized_poly(degree, stream.derive(t))
         ok, res = mlp_check(p, cfg)
-        if ok:
-            passed += 1
-        else:
-            certificates.append(mlp_certificate(p, res, trial, seed))
-    return certificates, passed
+        return None if ok else mlp_certificate(p, res, t, seed)
+
+    outcomes = fan_out(trial, trials)
+    return [c for c in outcomes if c is not None], outcomes.count(None)

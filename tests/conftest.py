@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -218,3 +219,8 @@ def search_objective(maximize):
         with pytest.raises(_Caught):
             (search_extremal_s0 if maximize else search_extremal_ds0)(2, SearchConfig(restarts=1))
     return caught[0]
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Make fanout.fan_out size itself to n workers, as on an n-CPU host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

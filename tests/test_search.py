@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import convolve_oracle, polar, search_objective
+from conftest import convolve_oracle, polar, search_objective, set_cpus
 from smale_lab import polycore, rootfind, search, simplex
 from smale_lab.dynamics import OrbitConfig, mlp_check
 from smale_lab.errors import (
@@ -159,6 +159,8 @@ class TestParametrization:
             close(res.ratio, exact_normalized_ratios(coeffs, [res.w0])[0])
 
     def test_no_poly_and_no_divided_difference_per_objective_call(self, monkeypatch):
+        # the spies see only this process: keep every restart in it
+        set_cpus(monkeypatch, 1)
         built = []
         post_init = polycore.Poly.__post_init__
 
