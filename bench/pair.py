@@ -19,7 +19,9 @@ The result goes to ``BENCH_<NAME>.json`` in the working tree:
 * ``workloads.W.metrics.M``: every sample per side in pair order, each
   side's median and quartiles, the pairs each side won (a tie counts for
   neither), the ratio of the medians, and the metric's direction and its
-  bound from ``BENCHMARK.json``;
+  bound from ``BENCHMARK.json``.  A traced run adds ``X.self_s_per_call``
+  (lower is better, no bound) for every span X with ``X.calls`` and
+  ``X.self_s``;
 * ``workloads.W.digests``: the output digest per seed and side, and
   whether the two are equal;
 * ``workloads.W.runs``: ``attempted``, ``failed`` and ``correct`` of every run.
@@ -101,6 +103,35 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "ties": len(parent) - change_wins - parent_wins,
         "median_ratio": cmed / pmed if pmed else None,
     }
+
+
+def summarize_metrics(specs: list[dict], by_side: dict[str, list[dict]]) -> dict:
+    """The summary of every metric in ``specs`` (``BENCHMARK.json`` entries)
+    over the runs of each side, in pair order.  For each span X with both
+    ``X.calls`` and ``X.self_s`` it adds ``X.self_s_per_call``, the self
+    time per call: a traced run's call count grows with the speed of the
+    code, so the totals cannot be compared across commits.  The per-call
+    metric is left out when some run made no call."""
+    def values(name):
+        return {side: [r["metrics"][name]["value"] for r in runs]
+                for side, runs in by_side.items()}
+
+    names = {m["name"] for m in specs}
+    out = {}
+    for m in specs:
+        name = m["name"]
+        v = values(name)
+        out[name] = {"unit": m["unit"], "better": m["better"], "bound": m.get("bound"),
+                     **summarize(v["parent"], v["change"], m["better"])}
+        span = name.removesuffix(".self_s")
+        if span == name or span + ".calls" not in names:
+            continue
+        calls = values(span + ".calls")
+        if all(c > 0 for side in calls.values() for c in side):
+            per = {side: [t / c for t, c in zip(v[side], calls[side])] for side in v}
+            out[span + ".self_s_per_call"] = {"unit": "s", "better": "lower", "bound": None,
+                                              **summarize(per["parent"], per["change"], "lower")}
+    return out
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -189,13 +220,7 @@ def main(argv=None) -> int:
             equal = pair["parent"] is not None and pair["parent"] == pair["change"]
             entry["digests"][str(seed)] = {**pair, "equal": equal}
         if complete:
-            for m in metrics:
-                samples = {side: [r["metrics"][m["name"]]["value"] for r in by_side[side]]
-                           for side in ("parent", "change")}
-                entry["metrics"][m["name"]] = {
-                    "unit": m["unit"], "better": m["better"], "bound": m.get("bound"),
-                    **summarize(samples["parent"], samples["change"], m["better"]),
-                }
+            entry["metrics"] = summarize_metrics(metrics, by_side)
         out["workloads"][w] = entry
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -11,7 +11,7 @@ from .errors import (
 )
 from .polycore import from_coeffs, from_roots
 from .smale import SampleConfig, bound_report, ds0, ds_at, s0, s_at
-from .cstar import CStarElement, CStarPoly, check_smale
+from .cstar import CStarElement, CStarPoly, check_strong_forms
 from .dynamics import OrbitConfig, mlp_check
 from .search import SearchConfig, search_extremal_s0
 
@@ -26,7 +26,7 @@ __all__ = [
     "SearchConfig",
     "SmaleLabError",
     "bound_report",
-    "check_smale",
+    "check_strong_forms",
     "ds0",
     "ds_at",
     "from_coeffs",

@@ -10,7 +10,13 @@ algebra-element roots.  A point w is critical when the derivative is the
 zero element, i.e. vanishes in every coordinate; the critical set is a
 Cartesian product of per-coordinate scalar critical points, and the
 quotient extremes over all of it come from per-coordinate tables
-(``product_extremes``) without visiting the product.
+(``product_extremes``) without visiting the product.  Each coordinate's
+table comes from one pass: the z-side factors z_t - a_i and their prefix
+products are formed once, and give both P'(z_t) and the telescoped
+difference P(z_t) - P(w_t) for every coordinate critical point w_t.  A
+point z counts as critical when ||P'(z)|| is at most
+``CStarPoly.critical_threshold``, the one rule the checker and the hunt
+sampler share.
 """
 
 from __future__ import annotations
@@ -20,14 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, PreconditionError
-from .polycore import (
-    COINCIDENCE_TOL,
-    CRITICAL_TOL,
-    Poly,
-    from_roots,
-    require_finite,
-    sum_of_products_derivative,
-)
+from .polycore import COINCIDENCE_TOL, CRITICAL_TOL, Poly, from_roots, require_finite
 from .rootfind import RootSet, critical_points
 from .smale import CONJ_SLACK
 
@@ -88,6 +87,13 @@ class CStarPoly:
         .roots of entry t are the roots' coordinate-t column."""
         return tuple(from_roots(col) for col in zip(*(r.coords for r in self.roots)))
 
+    @cached_property
+    def critical_threshold(self) -> float:
+        """z is (numerically) critical when ||P'(z)|| is at or below this:
+        CRITICAL_TOL times the largest coefficient modulus, at least 1."""
+        scale = max(max(abs(c) for c in p.coeffs) for p in self.coordinate_polys)
+        return CRITICAL_TOL * max(1.0, scale)
+
     def to_json(self) -> dict:
         return {"roots": [r.to_json() for r in self.roots]}
 
@@ -113,37 +119,44 @@ class CStarVerdict:
     strong_dual_pass: bool
 
 
-def cstar_derivative_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
-    """P'(z): pointwise sum of products with one factor removed."""
-    if z.dim != P.dim:
-        raise DomainError(f"dimension mismatch: poly {P.dim}, point {z.dim}")
-    return CStarElement(
-        tuple(
-            sum_of_products_derivative(p.roots, zt)
-            for p, zt in zip(P.coordinate_polys, z.coords)
-        )
-    )
+def _coordinate_terms(roots, zt: complex, pool) -> tuple[complex, list[complex]]:
+    """(P'(zt), [P(zt) - P(w) for w in pool]) for P = prod(x - a_i) over the
+    scalar roots a_i.
 
-
-def _telescoped_difference(roots, zt: complex, wt: complex) -> complex:
-    """prod(zt - a_i) - prod(wt - a_i) over the scalar roots a_i.
-
-    The difference equals (zt - wt) * sum_j prod_{i<j}(zt - a_i)
-    * prod_{i>j}(wt - a_i); evaluating the sum avoids the cancellation the
-    direct difference suffers when zt and wt are close.
+    The z-side factors zt - a_i and their prefix products are formed once.
+    P'(zt) sums the products with one factor removed, right to left.  Each
+    difference is (zt - w) * sum_j prod_{i<j}(zt - a_i) * prod_{i>j}(w - a_i),
+    summed left to right; the sum avoids the cancellation the direct
+    difference suffers when zt and w are close.
     """
     n = len(roots)
     zf = [zt - r for r in roots]
-    wf = [wt - r for r in roots]
-    suffix = [1.0 + 0.0j] * (n + 1)
+    prefix = [1.0 + 0.0j] * (n + 1)
+    for i, f in enumerate(zf):
+        prefix[i + 1] = prefix[i] * f
+    suffix = 1.0 + 0.0j
+    deriv = 0.0 + 0.0j
     for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] * wf[j]
-    acc = 0.0 + 0.0j
-    prefix = 1.0 + 0.0j
-    for j in range(n):
-        acc += prefix * suffix[j + 1]
-        prefix *= zf[j]
-    return acc * (zt - wt)
+        deriv += prefix[j] * suffix
+        suffix *= zf[j]
+    diffs = []
+    for w in pool:
+        wsuffix = [1.0 + 0.0j]  # prod_{i>j}(w - a_i) for j = n-1 down to 0
+        for r in roots[:0:-1]:
+            wsuffix.append(wsuffix[-1] * (w - r))
+        acc = 0.0 + 0.0j
+        for pj, sj in zip(prefix, reversed(wsuffix)):
+            acc += pj * sj
+        diffs.append(acc * (zt - w))
+    return deriv, diffs
+
+
+def cstar_derivative_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
+    """P'(z), coordinate by coordinate."""
+    P.roots[0]._check_dim(z)
+    return CStarElement(
+        tuple(_coordinate_terms(p.roots, zt, ())[0] for p, zt in zip(P.coordinate_polys, z.coords))
+    )
 
 
 def enumerate_critical_set(P: CStarPoly) -> CriticalSet:
@@ -155,11 +168,6 @@ def enumerate_critical_set(P: CStarPoly) -> CriticalSet:
     """
     per_coord = tuple(critical_points(p) for p in P.coordinate_polys)
     return CriticalSet(per_coord, math.prod(len(rs.roots) for rs in per_coord))
-
-
-def _derivative_threshold(P: CStarPoly) -> float:
-    scale = max(max(abs(c) for c in p.coeffs) for p in P.coordinate_polys)
-    return CRITICAL_TOL * max(1.0, scale)
 
 
 def product_extremes(tables, scale):
@@ -204,15 +212,12 @@ def check_strong_forms(
     inequality in every coordinate.  Every per-element term depends on one
     coordinate, so coordinate t gets one row (|P_t(z_t) - P_t(w_t)|,
     |z_t - w_t|, |w_t|) per critical point w_t, and product_extremes reads
-    the extremes off those tables.
+    the extremes off those tables.  One pass per coordinate gives P'_t(z_t)
+    and the coordinate's rows (_coordinate_terms).
     """
+    P.roots[0]._check_dim(z)
     if crit is None:
         crit = enumerate_critical_set(P)
-    dval = cstar_derivative_eval(P, z)
-    dnorm = dval.norm()
-    if dnorm <= _derivative_threshold(P):
-        raise PreconditionError("z is (numerically) a critical point of P")
-    point_scale = max(1.0, z.norm())
     n = P.degree
     sharp_sq = ((n - 1) / n) ** 2
     dual_sq = 1.0 / n ** 2
@@ -220,13 +225,16 @@ def check_strong_forms(
     # every coordinate exactly when every coordinate has a passing w_t
     strong_smale = strong_dual = True
     tables = []
-    columns = zip(P.coordinate_polys, z.coords, dval.coords, crit.per_coordinate)
-    for p, zt, dt, rs in columns:
-        dsq = abs(dt) ** 2
+    dnorm = 0.0
+    for p, zt, rs in zip(P.coordinate_polys, z.coords, crit.per_coordinate):
+        dt, diffs = _coordinate_terms(p.roots, zt, rs.roots)
+        dabs = abs(require_finite(dt, "P'(z)"))
+        dnorm = max(dnorm, dabs)
+        dsq = dabs ** 2
         rows = []
         smale_t = dual_t = False
-        for wt in rs.roots:
-            num = abs(_telescoped_difference(p.roots, zt, wt))
+        for diff, wt in zip(diffs, rs.roots):
+            num = abs(diff)
             dist = abs(zt - wt)
             rows.append((num, dist, abs(wt)))
             # coordinatewise order of the squared sides, relative slack
@@ -238,6 +246,9 @@ def check_strong_forms(
         tables.append(rows)
         strong_smale = strong_smale and smale_t
         strong_dual = strong_dual and dual_t
+    if dnorm <= P.critical_threshold:
+        raise PreconditionError("z is (numerically) a critical point of P")
+    point_scale = max(1.0, z.norm())
     # z coincides with an element w when max_t |z_t - w_t| <= COINCIDENCE_TOL
     # * max(point_scale, max_t |w_t|).  Such an element exists exactly when
     # some row (s, w_s) meets its own threshold COINCIDENCE_TOL
@@ -261,11 +272,6 @@ def check_strong_forms(
     )
 
 
-def check_smale(P: CStarPoly, z: CStarElement) -> CStarVerdict:
-    """Min/max of the normalized quotient over the whole critical set."""
-    return check_strong_forms(P, z)
-
-
 def _degree2(a: CStarElement, b: CStarElement, z: CStarElement):
     """(c, P'(z), per-coordinate P(z) - P(c)) for P = (z - a)(z - b) with
     critical midpoint c."""
@@ -273,14 +279,14 @@ def _degree2(a: CStarElement, b: CStarElement, z: CStarElement):
     a._check_dim(z)
     P = CStarPoly((a, b))
     c = CStarElement(tuple((x + y) / 2.0 for x, y in zip(a.coords, b.coords)))
-    dval = cstar_derivative_eval(P, z)
-    if dval.norm() <= COINCIDENCE_TOL * max(1.0, z.norm(), c.norm()):
-        raise PreconditionError("z is the critical midpoint of (a, b)")
-    diffs = [
-        _telescoped_difference(p.roots, zt, ct)
+    terms = [
+        _coordinate_terms(p.roots, zt, (ct,))
         for p, zt, ct in zip(P.coordinate_polys, z.coords, c.coords)
     ]
-    return c, dval, diffs
+    dval = CStarElement(tuple(dt for dt, _ in terms))
+    if dval.norm() <= COINCIDENCE_TOL * max(1.0, z.norm(), c.norm()):
+        raise PreconditionError("z is the critical midpoint of (a, b)")
+    return c, dval, [diff for _, (diff,) in terms]
 
 
 def degree2_identity_residual(

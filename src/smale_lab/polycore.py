@@ -220,25 +220,3 @@ def is_normalized(p: Poly, tol: float = 1e-12) -> bool:
     if p.degree < 1:
         return False
     return abs(p.coeffs[0]) <= tol and abs(p.coeffs[1] - 1.0) <= tol
-
-
-def sum_of_products_derivative(roots, z: Scalar) -> Scalar:
-    """Derivative of prod (z - r_i) via the sum with one factor removed.
-
-    Independent of the coefficient-form derivative; the two are
-    cross-checked in the test suite.  O(n) using prefix/suffix products.
-    The algebra model evaluates P' with it, one coordinate at a time.
-    """
-    n = len(roots)
-    if n == 0:
-        raise DomainError("need at least one root")
-    factors = [z - r for r in roots]
-    prefix = [1.0 + 0.0j] * (n + 1)
-    for i, f in enumerate(factors):
-        prefix[i + 1] = prefix[i] * f
-    suffix = 1.0 + 0.0j
-    acc = 0.0 + 0.0j
-    for j in range(n - 1, -1, -1):
-        acc += prefix[j] * suffix
-        suffix *= factors[j]
-    return acc

@@ -30,7 +30,6 @@ from .dynamics import OrbitConfig, OrbitResult, mlp_check
 from .errors import DomainError, PreconditionError, SmaleLabError
 from .fanout import fan_out
 from .polycore import (
-    CRITICAL_TOL,
     Poly,
     from_coeffs,
     monic_coeffs,
@@ -223,6 +222,16 @@ class HuntResult:
     stats: HuntStats
 
 
+# each hunt certificate kind with its CStarVerdict pass field and the
+# exact re-check's violated field; the strong forms are the last two
+_CSTAR_KINDS = (
+    ("cstar_sharp", "sharp_pass", "sharp_violated"),
+    ("cstar_dual", "dual_pass", "dual_violated"),
+    ("cstar_strong_smale", "strong_smale_pass", "strong_smale_violated"),
+    ("cstar_strong_dual", "strong_dual_pass", "strong_dual_violated"),
+)
+
+
 def _draw_cstar_instance(st: Stream, n: int, k: int):
     roots = tuple(
         CStarElement(tuple(st.complex_in_disk(_ROOT_DRAW_RADIUS) for _ in range(k)))
@@ -244,7 +253,7 @@ def _draw_cstar_instance(st: Stream, n: int, k: int):
         else:
             return P, crit, None
     z = CStarElement(tuple(coords))
-    if cstar_derivative_eval(P, z).norm() <= CRITICAL_TOL * 10.0:
+    if cstar_derivative_eval(P, z).norm() <= P.critical_threshold:
         return P, crit, None
     return P, crit, z
 
@@ -262,32 +271,22 @@ def _hunt_trial(stream: Stream, trial: int, n: int, k: int, strong: bool, seed: 
     # bridge between the relative and absolute comparison slacks
     if verdict.strong_smale_pass and verdict.min_ratio > (n - 1) / n + 1e-7:
         raise SmaleLabError("strong form passed but norm form failed: comparison bug")
-    flags = {
-        "cstar_sharp": not verdict.sharp_pass,
-        "cstar_dual": not verdict.dual_pass,
-    }
-    if strong:
-        flags["cstar_strong_smale"] = not verdict.strong_smale_pass
-        flags["cstar_strong_dual"] = not verdict.strong_dual_pass
+    kinds = _CSTAR_KINDS if strong else _CSTAR_KINDS[:2]
+    flagged = [(kind, exact_field) for kind, field, exact_field in kinds
+               if not getattr(verdict, field)]
     certs = []
-    if any(flags.values()):
+    if flagged:
         exact = exact_cstar_quotients(
             [list(r.coords) for r in P.roots],
             list(z.coords),
             [rs.roots for rs in crit.per_coordinate],
         )
-        confirmations = {
-            "cstar_sharp": exact.sharp_violated,
-            "cstar_dual": exact.dual_violated,
-            "cstar_strong_smale": exact.strong_smale_violated,
-            "cstar_strong_dual": exact.strong_dual_violated,
-        }
         residuals = [
             max(rs.residuals) if rs.residuals else 0.0
             for rs in crit.per_coordinate
         ]
-        for kind, flagged in flags.items():
-            if flagged and confirmations[kind]:
+        for kind, exact_field in flagged:
+            if getattr(exact, exact_field):
                 certs.append(
                     Certificate(
                         kind=kind,
@@ -329,8 +328,10 @@ def run_hunt(
     many worker processes, and results are merged in trial order, so the
     report does not depend on the worker count.  A trial is skipped only when its draw
     finds no admissible z (one at least SAMPLER_MARGIN from every
-    coordinate critical point and not itself critical); an error in any
-    trial, a root-find failure included, is raised, never skipped.
+    coordinate critical point and not itself critical by
+    CStarPoly.critical_threshold, the rule check_strong_forms applies); an
+    error in any trial, a root-find failure included, is raised, never
+    skipped.
     """
     if n < 2 or k < 1:
         raise DomainError(f"hunts need degree >= 2 and dim >= 1, got {n} and {k}")

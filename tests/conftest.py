@@ -132,6 +132,41 @@ def scale_conjugate(p: Poly, lam: complex) -> Poly:
     return Poly(coeffs)
 
 
+def sum_of_products_derivative(roots, z: complex) -> complex:
+    """Derivative of prod (z - r_i) via the sum with one factor removed,
+    summed right to left over prefix products.  With telescoped_difference
+    this is the bit-for-bit oracle of cstar._coordinate_terms."""
+    n = len(roots)
+    factors = [z - r for r in roots]
+    prefix = [1.0 + 0.0j] * (n + 1)
+    for i, f in enumerate(factors):
+        prefix[i + 1] = prefix[i] * f
+    suffix = 1.0 + 0.0j
+    acc = 0.0 + 0.0j
+    for j in range(n - 1, -1, -1):
+        acc += prefix[j] * suffix
+        suffix *= factors[j]
+    return acc
+
+
+def telescoped_difference(roots, zt: complex, wt: complex) -> complex:
+    """prod(zt - a_i) - prod(wt - a_i) as (zt - wt) * sum_j prod_{i<j}(zt - a_i)
+    * prod_{i>j}(wt - a_i), summed left to right, with each w rebuilding the
+    z-side prefix products."""
+    n = len(roots)
+    zf = [zt - r for r in roots]
+    wf = [wt - r for r in roots]
+    suffix = [1.0 + 0.0j] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix[j] = suffix[j + 1] * wf[j]
+    acc = 0.0 + 0.0j
+    prefix = 1.0 + 0.0j
+    for j in range(n):
+        acc += prefix * suffix[j + 1]
+        prefix *= zf[j]
+    return acc * (zt - wt)
+
+
 # Exact re-checks of the proven orbit verdicts.  Floats convert to Fraction
 # exactly; every square root and m-th root is bounded on the side that makes
 # the check harder to pass, on a grid of 2^-_ROOT_BITS.

@@ -15,7 +15,7 @@ import time
 from smale_lab.cstar import (
     CStarElement,
     CStarPoly,
-    check_smale,
+    check_strong_forms,
     degree2_higher_order,
     degree2_identity_residual,
 )
@@ -70,7 +70,7 @@ def test_criterion_1_degree2_exactness():
     for k, a, b, z in degree2_trials():
         try:
             res = degree2_identity_residual(a, b, z)
-            v = check_smale(CStarPoly((a, b)), z)
+            v = check_strong_forms(CStarPoly((a, b)), z)
         except PreconditionError:
             continue
         count += 1

@@ -55,3 +55,43 @@ def test_zero_parent_median_has_no_ratio():
 def test_bad_samples_rejected(parent, change, better):
     with pytest.raises(ValueError):
         pair.summarize(parent, change, better)
+
+
+
+def _runs(metrics):
+    """One side's runs, one per pair, from {metric name: samples in pair order}."""
+    pairs = len(next(iter(metrics.values())))
+    return [{"metrics": {name: {"value": v[i]} for name, v in metrics.items()}}
+            for i in range(pairs)]
+
+
+def _spec(name):
+    return {"name": name, "unit": "s" if name.endswith("self_s") else "count", "better": "lower"}
+
+
+def test_self_time_per_call_is_derived_per_run():
+    specs = [_spec(name) for name in ("a.calls", "a.self_s", "layer.a.self_s", "b.self_s")]
+    by_side = {
+        "parent": _runs({"a.calls": [10.0, 20.0], "a.self_s": [1.0, 4.0],
+                         "layer.a.self_s": [1.0, 4.0], "b.self_s": [3.0, 3.0]}),
+        "change": _runs({"a.calls": [40.0, 40.0], "a.self_s": [2.0, 2.0],
+                         "layer.a.self_s": [2.0, 2.0], "b.self_s": [3.0, 3.0]}),
+    }
+    out = pair.summarize_metrics(specs, by_side)
+    # four times the calls in about the same time: the total can rise while
+    # the time per call falls
+    per = out["a.self_s_per_call"]
+    assert per["parent"]["samples"] == [0.1, 0.2]
+    assert per["change"]["samples"] == [0.05, 0.05]
+    assert (per["change_wins"], per["parent_wins"]) == (2, 0)
+    assert (per["unit"], per["better"], per["bound"]) == ("s", "lower", None)
+    assert out["a.self_s"]["parent_wins"] == 1
+    # a self time with no matching call count gets no per-call metric
+    assert list(out) == ["a.calls", "a.self_s", "a.self_s_per_call", "layer.a.self_s", "b.self_s"]
+
+
+def test_self_time_per_call_is_left_out_when_a_run_made_no_call():
+    specs = [_spec("a.calls"), _spec("a.self_s")]
+    by_side = {"parent": _runs({"a.calls": [0.0, 5.0], "a.self_s": [0.0, 1.0]}),
+               "change": _runs({"a.calls": [5.0, 5.0], "a.self_s": [1.0, 1.0]})}
+    assert list(pair.summarize_metrics(specs, by_side)) == ["a.calls", "a.self_s"]

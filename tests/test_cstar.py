@@ -3,13 +3,19 @@ import math
 
 import pytest
 
-from conftest import gaussian_int, outcome
+from conftest import (
+    gaussian_int,
+    outcome,
+    polar,
+    sum_of_products_derivative,
+    telescoped_difference,
+)
 from smale_lab import cstar as cstar_module
 from smale_lab.cstar import (
     CStarElement,
     CStarPoly,
     CriticalSet,
-    check_smale,
+    _coordinate_terms,
     check_strong_forms,
     cstar_derivative_eval,
     degree2_higher_order,
@@ -101,9 +107,40 @@ class TestEvaluation:
             assert abs(got.coords[t] - want) <= 1e-10 * (1 + abs(want))
 
     def test_dim_mismatch(self):
-        P = CStarPoly((CStarElement((0j,)), CStarElement((1 + 0j,))))
-        with pytest.raises(DomainError):
-            cstar_derivative_eval(P, CStarElement((0j, 0j)))
+        # a zip over the coordinates would drop z's extra coordinate, or
+        # P's when z is the shorter one
+        P = CStarPoly((CStarElement((0j, 0j)), CStarElement((1 + 0j, 2 + 0j))))
+        for z in (CStarElement((3 + 0j,)), CStarElement((3 + 0j, 3 + 0j, 3 + 0j))):
+            with pytest.raises(DomainError):
+                cstar_derivative_eval(P, z)
+            with pytest.raises(DomainError):
+                check_strong_forms(P, z)
+
+    def test_coordinate_terms_match_the_oracle_bit_for_bit(self):
+        # P'(z_t) in sum_of_products_derivative's order and every row in the
+        # telescoped order, .hex()-equal, with pool points 1e-3 and 1e-8
+        # from z_t where the telescoped sum matters
+        def hexes(c):
+            return c.real.hex(), c.imag.hex()
+
+        stream = Stream(94)
+        count = 0
+        for n in range(2, 13):
+            for k in range(1, 5):
+                st_ = stream.derive(n).derive(k)
+                P = CStarPoly(tuple(rand_element(st_, k, 2.0) for _ in range(n)))
+                z = rand_element(st_, k, 3.0)
+                crit = enumerate_critical_set(P)
+                for p, zt, rs in zip(P.coordinate_polys, z.coords, crit.per_coordinate):
+                    near = [zt + polar(r, 2 * math.pi * st_.uniform()) for r in (1e-3, 1e-8)]
+                    pool = list(rs.roots) + near
+                    deriv, diffs = _coordinate_terms(p.roots, zt, pool)
+                    assert hexes(deriv) == hexes(sum_of_products_derivative(p.roots, zt))
+                    assert len(diffs) == len(pool)
+                    for diff, w in zip(diffs, pool):
+                        assert hexes(diff) == hexes(telescoped_difference(p.roots, zt, w))
+                        count += 1
+        assert count > 500
 
 
 class TestCriticalSet:
@@ -134,7 +171,10 @@ def _elementwise_check(P, z, crit=None):
     """(min, max, strong flags) by recomputing every term for each element
     of the critical product; crit defaults to P's critical set."""
     slack = cstar_module.CONJ_SLACK
-    dval = cstar_derivative_eval(P, z)
+    columns = [[r.coords[t] for r in P.roots] for t in range(P.dim)]
+    dval = CStarElement(tuple(
+        sum_of_products_derivative(col, zt) for col, zt in zip(columns, z.coords)
+    ))
     dnorm = dval.norm()
     point_scale = max(1.0, z.norm())
     n = P.degree
@@ -156,19 +196,10 @@ def _elementwise_check(P, z, crit=None):
         dist = max(abs(a - b) for a, b in zip(z.coords, w.coords))
         if dist <= COINCIDENCE_TOL * max(point_scale, w.norm()):
             raise PreconditionError("z coincides with a critical element")
-        diffs = []
-        for t in range(P.dim):
-            zt, wt = z.coords[t], w.coords[t]
-            zf = [zt - r.coords[t] for r in P.roots]
-            wf = [wt - r.coords[t] for r in P.roots]
-            suffix = [1.0 + 0.0j] * (n + 1)
-            for j in range(n - 1, -1, -1):
-                suffix[j] = suffix[j + 1] * wf[j]
-            acc, prefix = 0.0 + 0.0j, 1.0 + 0.0j
-            for j in range(n):
-                acc += prefix * suffix[j + 1]
-                prefix *= zf[j]
-            diffs.append(acc * (zt - wt))
+        diffs = [
+            telescoped_difference(col, zt, wt)
+            for col, zt, wt in zip(columns, z.coords, w.coords)
+        ]
         ratio = max(abs(d) for d in diffs) / (dist * dnorm)
         min_ratio = min(min_ratio, ratio)
         max_ratio = max(max_ratio, ratio)
@@ -190,7 +221,7 @@ class TestCheckSmale:
             k = (trial % 4) + 1
             a, b, z = (rand_element(st_, k) for _ in range(3))
             try:
-                v = check_smale(CStarPoly((a, b)), z)
+                v = check_strong_forms(CStarPoly((a, b)), z)
             except PreconditionError:
                 continue
             assert v.min_ratio == pytest.approx(0.5, abs=1e-9)
@@ -206,7 +237,7 @@ class TestCheckSmale:
         for _ in range(20):
             z = stream.complex_in_disk(4.0)
             try:
-                v = check_smale(P, CStarElement((z,)))
+                v = check_strong_forms(P, CStarElement((z,)))
                 lo = s_at(p, z).ratio
                 hi = ds_at(p, z).ratio
             except PreconditionError:
@@ -282,8 +313,6 @@ class TestCheckSmale:
                 if got is PreconditionError:
                     raised.add(coincides)
                     continue
-                if crit is None:
-                    assert check_smale(P, z) == check_strong_forms(P, z)
                 if slack is not None:
                     flags.update(got[2:])
                 elif z.norm() < 1e6:

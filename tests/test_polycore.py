@@ -10,6 +10,7 @@ from conftest import (
     random_roots,
     scale_conjugate,
 )
+from smale_lab.cstar import _coordinate_terms
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
     Poly,
@@ -21,7 +22,6 @@ from smale_lab.polycore import (
     is_normalized,
     poly_from_json,
     poly_to_json,
-    sum_of_products_derivative,
     taylor_coefficients,
 )
 from smale_lab.rng import Stream
@@ -103,10 +103,12 @@ class TestDerivative:
         p = from_roots(roots)
         dp = derivative(p)
         for _ in range(100):
-            z = stream.complex_in_disk(5.0)
-            direct = sum_of_products_derivative(roots, z)
+            z, w = stream.complex_in_disk(5.0), stream.complex_in_disk(5.0)
+            direct, (diff,) = _coordinate_terms(roots, z, (w,))
             horner = evaluate(dp, z)
             assert abs(direct - horner) <= 1e-10 * (1 + abs(direct))
+            want = evaluate(p, z) - evaluate(p, w)
+            assert abs(diff - want) <= 1e-10 * (1 + abs(want))
 
 
 class TestKthDerivative:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import convolve_oracle, polar, search_objective, set_cpus
 from smale_lab import polycore, rootfind, search, simplex
+from smale_lab.cstar import CStarElement, CStarPoly, check_strong_forms
 from smale_lab.dynamics import OrbitConfig, mlp_check
 from smale_lab.errors import (
     DomainError,
@@ -445,6 +446,23 @@ class TestHunt:
         monkeypatch.setattr(search, "SAMPLER_MARGIN", 1e9)
         res = run_hunt(3, 2, 7, SearchConfig(seed=1))
         assert (res.stats.trials_run, res.stats.trials_skipped) == (0, 7)
+
+    def test_critical_draw_is_skipped_by_the_checker_rule(self, monkeypatch):
+        # six roots at 2 and z = 2.015: z clears SAMPLER_MARGIN and
+        # ||P'(z)|| = 4.6e-9, but check_strong_forms counts z as critical.
+        # The sampler applies the same rule, so the trial is skipped, not
+        # raised
+        P = CStarPoly(tuple(CStarElement((2 + 0j,)) for _ in range(6)))
+        z = CStarElement((2.015 + 0j,))
+        with pytest.raises(PreconditionError, match="critical point"):
+            check_strong_forms(P, z)
+
+        def planted(self, radius):
+            return 2 + 0j if radius == search._ROOT_DRAW_RADIUS else z.coords[0]
+
+        monkeypatch.setattr(Stream, "complex_in_disk", planted)
+        res = run_hunt(6, 1, 1, SearchConfig(seed=1))
+        assert (res.stats.trials_run, res.stats.trials_skipped) == (0, 1)
 
     def test_stats_recorded(self):
         res = run_hunt(3, 2, 100, SearchConfig(seed=13))
