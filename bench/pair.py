@@ -14,8 +14,9 @@ drift of a shared host falls on both sides alike.
 The result goes to ``BENCH_<NAME>.json`` in the working tree:
 
 * ``environment``: both commits, whether the copied tree differed from
-  HEAD (untracked files count), the Python version, ``nproc``, the pairs,
-  seconds and seeds;
+  HEAD (untracked files count), the content id of each measured tree (its
+  git tree hash, so an uncommitted change is named too), the Python
+  version, ``nproc``, the pairs, seconds and seeds;
 * ``workloads.W.metrics.M``: every sample per side in pair order, each
   side's median and quartiles, the pairs each side won (a tie counts for
   neither), the ratio of the medians, and the metric's direction and its
@@ -61,6 +62,18 @@ def export_base(rev: str, dest: Path) -> None:
                           capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest)
+
+
+def tree_id(root: Path = ROOT) -> str:
+    """The git tree hash of the working tree as copy_working_tree copies it
+    (tracked and untracked files that git does not ignore).  ``git add -A``
+    fills a temporary index, so neither the real index nor any ref moves."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        for args in (["add", "-A"], ["write-tree"]):
+            out = subprocess.run(["git", *args], cwd=root, env=env, check=True,
+                                 capture_output=True, text=True).stdout
+    return out.strip()
 
 
 def copy_working_tree(dest: Path) -> None:
@@ -176,6 +189,8 @@ def main(argv=None) -> int:
         "base_commit": git("rev-parse", args.base),
         "change_commit": git("rev-parse", "HEAD"),
         "change_has_uncommitted_edits": bool(git("status", "--porcelain")),
+        "base_tree": git("rev-parse", f"{args.base}^{{tree}}"),
+        "change_tree": tree_id(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),

@@ -6,9 +6,14 @@ Every finite-dimensional commutative C*-algebra is of this form, so any
 counterexample found here embeds into the general commutative case.
 
 Polynomials over the model are monic products of linear factors with
-algebra-element roots.  A point w is critical when the derivative is the
-zero element, i.e. vanishes in every coordinate; the critical set is a
-Cartesian product of per-coordinate scalar critical points, and the
+algebra-element roots.  Along each Gelfand point t the polynomial is the
+scalar one whose roots are the roots' coordinate-t column
+(``CStarPoly.columns``), and it is only ever held in that root form: no
+coefficient polynomial is built.  A point w is critical when the derivative
+is the zero element, i.e. vanishes in every coordinate; the critical set is
+a Cartesian product of per-coordinate scalar critical points, each
+coordinate's found from its column by the secular iteration
+(``rootfind.critical_points_of_roots``), and the
 quotient extremes over all of it come from per-coordinate tables
 (``product_extremes``) without visiting the product.  Each coordinate's
 table comes from one pass: the z-side factors z_t - a_i and their prefix
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, PreconditionError
-from .polycore import COINCIDENCE_TOL, CRITICAL_TOL, Poly, from_roots, require_finite
-from .rootfind import RootSet, critical_points
+from .polycore import COINCIDENCE_TOL, CRITICAL_TOL, monic_coeffs, require_finite
+from .rootfind import RootSet, critical_points_of_roots
 from .smale import CONJ_SLACK
 
 
@@ -82,16 +87,17 @@ class CStarPoly:
         return self.roots[0].dim
 
     @cached_property
-    def coordinate_polys(self) -> tuple[Poly, ...]:
-        """The scalar polynomial along each Gelfand point, built once; the
-        .roots of entry t are the roots' coordinate-t column."""
-        return tuple(from_roots(col) for col in zip(*(r.coords for r in self.roots)))
+    def columns(self) -> tuple[tuple[complex, ...], ...]:
+        """The roots' coordinate-t column for each Gelfand point t: the roots
+        of the scalar polynomial along that point."""
+        return tuple(zip(*(r.coords for r in self.roots)))
 
     @cached_property
     def critical_threshold(self) -> float:
         """z is (numerically) critical when ||P'(z)|| is at or below this:
-        CRITICAL_TOL times the largest coefficient modulus, at least 1."""
-        scale = max(max(abs(c) for c in p.coeffs) for p in self.coordinate_polys)
+        CRITICAL_TOL times the largest coefficient modulus of the coordinate
+        polynomials, at least 1."""
+        scale = max(max(abs(c) for c in monic_coeffs(col)) for col in self.columns)
         return CRITICAL_TOL * max(1.0, scale)
 
     def to_json(self) -> dict:
@@ -155,7 +161,7 @@ def cstar_derivative_eval(P: CStarPoly, z: CStarElement) -> CStarElement:
     """P'(z), coordinate by coordinate."""
     P.roots[0]._check_dim(z)
     return CStarElement(
-        tuple(_coordinate_terms(p.roots, zt, ())[0] for p, zt in zip(P.coordinate_polys, z.coords))
+        tuple(_coordinate_terms(col, zt, ())[0] for col, zt in zip(P.columns, z.coords))
     )
 
 
@@ -166,7 +172,7 @@ def enumerate_critical_set(P: CStarPoly) -> CriticalSet:
     in every coordinate, so each coordinate contributes its scalar critical
     points independently.
     """
-    per_coord = tuple(critical_points(p) for p in P.coordinate_polys)
+    per_coord = tuple(critical_points_of_roots(col) for col in P.columns)
     return CriticalSet(per_coord, math.prod(len(rs.roots) for rs in per_coord))
 
 
@@ -226,8 +232,8 @@ def check_strong_forms(
     strong_smale = strong_dual = True
     tables = []
     dnorm = 0.0
-    for p, zt, rs in zip(P.coordinate_polys, z.coords, crit.per_coordinate):
-        dt, diffs = _coordinate_terms(p.roots, zt, rs.roots)
+    for col, zt, rs in zip(P.columns, z.coords, crit.per_coordinate):
+        dt, diffs = _coordinate_terms(col, zt, rs.roots)
         dabs = abs(require_finite(dt, "P'(z)"))
         dnorm = max(dnorm, dabs)
         dsq = dabs ** 2
@@ -270,52 +276,3 @@ def check_strong_forms(
         strong_smale_pass=strong_smale,
         strong_dual_pass=strong_dual,
     )
-
-
-def _degree2(a: CStarElement, b: CStarElement, z: CStarElement):
-    """(c, P'(z), per-coordinate P(z) - P(c)) for P = (z - a)(z - b) with
-    critical midpoint c."""
-    a._check_dim(b)
-    a._check_dim(z)
-    P = CStarPoly((a, b))
-    c = CStarElement(tuple((x + y) / 2.0 for x, y in zip(a.coords, b.coords)))
-    terms = [
-        _coordinate_terms(p.roots, zt, (ct,))
-        for p, zt, ct in zip(P.coordinate_polys, z.coords, c.coords)
-    ]
-    dval = CStarElement(tuple(dt for dt, _ in terms))
-    if dval.norm() <= COINCIDENCE_TOL * max(1.0, z.norm(), c.norm()):
-        raise PreconditionError("z is the critical midpoint of (a, b)")
-    return c, dval, [diff for _, (diff,) in terms]
-
-
-def degree2_identity_residual(
-    a: CStarElement, b: CStarElement, z: CStarElement
-) -> float:
-    """Defect of the degree-2 equality, scaled by the input size.
-
-    For P = (z - a)(z - b) with midpoint c, both the direct and the dual
-    squared inequalities are equalities:
-    |P(z)_t - P(c)_t|^2 = (1/4) |z_t - c_t|^2 |P'(z)_t|^2 per coordinate.
-    Returns the largest coordinate defect of that identity divided by
-    max(1, ||z||, ||a||, ||b||)^4, so the value is meaningful uniformly
-    over input scales.
-    """
-    c, dval, diffs = _degree2(a, b, z)
-    scale = max(1.0, z.norm(), a.norm(), b.norm()) ** 4
-    worst = 0.0
-    for t in range(a.dim):
-        lhs = abs(diffs[t]) ** 2
-        rhs = 0.25 * abs(z.coords[t] - c.coords[t]) ** 2 * abs(dval.coords[t]) ** 2
-        defect = abs(lhs - rhs) / scale
-        if defect > worst:
-            worst = defect
-    return worst
-
-
-def degree2_higher_order(a: CStarElement, b: CStarElement, z: CStarElement) -> float:
-    """(||P''(z)|| / 2!) ||P(z) - P(c)|| / ||P'(z)||^2 for degree 2."""
-    _, dval, diffs = _degree2(a, b, z)
-    num = max(abs(d) for d in diffs)
-    # P'' is the constant element 2, so ||P''(z)|| / 2! = 1
-    return num / dval.norm() ** 2

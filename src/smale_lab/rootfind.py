@@ -1,19 +1,37 @@
-"""Simultaneous root finding for coefficient-form polynomials.
+"""Simultaneous root finding for polynomials in coefficient or root form.
 
-Aberth-Ehrlich iteration from a circle of initial guesses, followed by a
-short Newton polish and residual-checked clustering into multiplicities.
-No linear algebra dependency; behaves well for the moderate degrees and
-clustered critical points this package works with.
+One Aberth-Ehrlich loop serves both forms; only its Newton correction
+differs.  A coefficient-form polynomial gets p/p' from one Horner pass,
+its iteration starts on a circle of the Cauchy-bound radius, and a short
+Newton polish follows.  The critical points of a root-form polynomial
+P = prod (x - a_i) need no coefficients (the secular-equation form of Bini
+and Robol, J. Comput. Appl. Math. 272, 2014): with the equal roots grouped
+as b_i of multiplicity m_i, each b_i with m_i > 1 is a critical point of
+multiplicity m_i - 1, and the others are the zeros of f = sum m_i/(x - b_i).
+Two distinct roots leave one of them, in closed form; otherwise Aberth
+runs on the polynomial prod (x - b_i) * f from a circle centred at the
+roots' mean rho (also the mean of all critical points), of radius
+max |a_i - rho|, which by Gauss-Lucas reaches every critical point.  Each
+form clusters the iterates into multiplicities at one tolerance and checks
+every point by its own residual rule.  No linear algebra dependency.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, RootFindError
-from .polycore import Poly, cauchy_root_bound, derivative, evaluate, root_residual_bounds
+from .polycore import (
+    POLY_RESIDUAL_TOL,
+    Poly,
+    cauchy_root_bound,
+    derivative,
+    evaluate,
+    root_residual_bounds,
+)
 
 # Phase offset (radians) of the initial guesses; irrational so the start
 # configuration never aligns with a symmetry axis of the root set.
@@ -48,6 +66,13 @@ class RootSet:
         return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _unit_circle(n: int) -> tuple[complex, ...]:
+    """n start directions, evenly spaced from the phase _INIT_PHASE."""
+    two_pi = 2.0 * 3.141592653589793
+    return tuple(cmath.exp(1j * (two_pi * j / n + _INIT_PHASE)) for j in range(n))
+
+
 def _horner_pair(coeffs, z):
     """(p(z), p'(z)) in one descending pass."""
     acc = 0.0 + 0.0j
@@ -58,33 +83,77 @@ def _horner_pair(coeffs, z):
     return acc, dacc
 
 
-def _aberth_sweeps(monic, guesses, radius):
+def _horner_correction(coeffs):
+    """Newton correction p/p' of the coefficient form, for _aberth_sweeps."""
+
+    def correction(z):
+        val, dval = _horner_pair(coeffs, z)
+        if val == 0:
+            return 0.0
+        if dval == 0:
+            return None
+        return val / dval
+
+    return correction
+
+
+def _secular_correction(roots, multiple):
+    """Newton correction Q/Q' for _aberth_sweeps, where Q = prod (x - b_i) * f
+    over the distinct roots b_i and f = P'/P = sum 1/(x - a_i) over the roots
+    a_i, repeats included; multiple holds (b, m - 1) for each root b of
+    multiplicity m > 1.  With g = sum 1/(x - a_i)^2 and s = sum 1/(x - b_i) =
+    f - sum (m - 1)/(x - b), Q'/Q = s - g/f, so Q/Q' = f/(s f - g): for
+    distinct roots, P'/P'' = f/(f^2 - g).  One pass over the roots."""
+
+    def correction(x):
+        f = g = 0j
+        try:
+            for a in roots:
+                u = 1.0 / (x - a)
+                f += u
+                g += u * u
+            s = f
+            for b, k in multiple:
+                s -= k / (x - b)
+        except ZeroDivisionError:  # x is a root: a pole of f
+            return None
+        if f == 0:
+            return 0.0
+        den = s * f - g
+        if den == 0:
+            return None
+        return f / den
+
+    return correction
+
+
+def _aberth_sweeps(correction, guesses, radius):
+    """Aberth iteration from the guesses; correction(z) is the Newton step
+    of the polynomial whose roots the guesses approach, 0 at a root and
+    None at a point where the step is undefined (the iterate is nudged)."""
     zs = list(guesses)
     n = len(zs)
     for _ in range(_MAX_ITERS):
         max_step = 0.0
         for j in range(n):
             z = zs[j]
-            val, dval = _horner_pair(monic, z)
-            if val == 0:
+            newton = correction(z)
+            if not newton:
+                if newton is None:
+                    # sitting on a stationary point: nudge deterministically
+                    zs[j] = z + radius * 1e-9 * cmath.exp(1j * (j + 1))
+                    max_step = max(max_step, 1.0)
                 continue
-            if dval == 0:
-                # sitting on a stationary point: nudge deterministically
-                zs[j] = z + radius * 1e-9 * cmath.exp(1j * (j + 1))
-                max_step = max(max_step, 1.0)
-                continue
-            newton = val / dval
             repulse = 0.0 + 0.0j
-            for i in range(n):
-                if i != j:
-                    diff = z - zs[i]
-                    if diff == 0:
-                        diff = complex(radius * 1e-14, 0.0)
-                    repulse += 1.0 / diff
+            for other in zs[:j] + zs[j + 1:]:
+                diff = z - other
+                if diff == 0:
+                    diff = complex(radius * 1e-14, 0.0)
+                repulse += 1.0 / diff
             denom = 1.0 - newton * repulse
             step = newton if denom == 0 else newton / denom
-            zs[j] = z - step
-            rel = abs(step) / (1.0 + abs(zs[j]))
+            zs[j] = new = z - step
+            rel = abs(step) / (1.0 + abs(new))
             if rel > max_step:
                 max_step = rel
         if max_step <= _STEP_TOL:
@@ -110,6 +179,14 @@ def _polish(coeffs, z):
 def _cluster(points, tol):
     """Single-linkage clustering at the given distance tolerance."""
     n = len(points)
+    close = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if abs(points[i] - points[j]) <= tol
+    ]
+    if not close:
+        return [[z] for z in points]
     parent = list(range(n))
 
     def find(a):
@@ -118,16 +195,45 @@ def _cluster(points, tol):
             a = parent[a]
         return a
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= tol:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[rb] = ra
+    for i, j in close:
+        ra, rb = find(i), find(j)
+        if ra != rb:
+            parent[rb] = ra
     groups: dict[int, list[complex]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(points[i])
     return list(groups.values())
+
+
+def _cluster_means(zs):
+    """The iterates as (cluster mean, cluster size) pairs."""
+    clusters = _cluster(zs, _CLUSTER_REL * max(1.0, max(abs(z) for z in zs)))
+    return [(sum(members) / len(members), len(members)) for members in clusters]
+
+
+def _require_finite(zs, radius, residual):
+    """Raise RootFindError, with residual(z) at every iterate attached, when
+    the iteration left the finite numbers."""
+    if not all(cmath.isfinite(z) for z in zs):
+        raise RootFindError(
+            f"root iteration diverged from the start circle of radius {radius:.3e}",
+            roots=zs,
+            residuals=[residual(z) for z in zs],
+        )
+
+
+def _not_converged(r, res, bound, roots, residuals):
+    return RootFindError(
+        f"root iteration did not converge within {_MAX_ITERS} sweeps "
+        f"(residual {res:.3e} > {bound:.3e} at |r| = {abs(r):.3e})",
+        roots=roots,
+        residuals=residuals,
+    )
+
+
+def _by_position(items):
+    """items sorted lexicographically by (re, im) of their first entry."""
+    return sorted(items, key=lambda item: (item[0].real, item[0].imag))
 
 
 def find_roots(p: Poly) -> RootSet:
@@ -153,46 +259,95 @@ def find_roots(p: Poly) -> RootSet:
         root = -monic[0]
         return RootSet((root,), (1,), (abs(evaluate(p, root)),))
 
-    two_pi = 2.0 * 3.141592653589793
-    guesses = [
-        radius * cmath.exp(1j * (two_pi * j / n + _INIT_PHASE)) for j in range(n)
-    ]
-    zs = _aberth_sweeps(monic, guesses, radius)
+    guesses = [radius * u for u in _unit_circle(n)]
+    zs = _aberth_sweeps(_horner_correction(monic), guesses, radius)
     zs = [_polish(p.coeffs, z) for z in zs]
-    if not all(cmath.isfinite(z) for z in zs):
-        raise RootFindError(
-            f"root iteration diverged from the start circle of radius {radius:.3e}",
-            roots=zs,
-            residuals=[abs(_horner_pair(p.coeffs, z)[0]) for z in zs],
-        )
+    _require_finite(zs, radius, lambda z: abs(_horner_pair(p.coeffs, z)[0]))
 
-    clusters = _cluster(zs, _CLUSTER_REL * max(1.0, max(abs(z) for z in zs)))
-
-    reps = []
-    for members in clusters:
-        mean = sum(members) / len(members)
-        reps.append((mean, len(members)))
-    reps.sort(key=lambda item: (item[0].real, item[0].imag))
-
+    reps = _by_position(_cluster_means(zs))
     roots = tuple(r for r, _ in reps)
     mults = tuple(m for _, m in reps)
     residuals = tuple(abs(evaluate(p, r)) for r in roots)
 
     for r, res, bound in zip(roots, residuals, root_residual_bounds(p, roots)):
         if res > bound:
-            raise RootFindError(
-                f"root iteration did not converge within {_MAX_ITERS} sweeps "
-                f"(residual {res:.3e} > {bound:.3e} at |r| = {abs(r):.3e})",
-                roots=roots,
-                residuals=residuals,
-            )
+            raise _not_converged(r, res, bound, roots, residuals)
     return RootSet(roots, mults, residuals)
 
 
+def _secular_residual(roots, x):
+    """(|f(x)|, sum 1/|x - a_i|, |P'(x)|) for P = prod (x - a_i) and
+    f = P'/P = sum 1/(x - a_i), in one pass over the roots, repeats
+    included; (inf, 0, inf) when x is a root."""
+    f = 0j
+    scale = 0.0
+    prod = 1.0 + 0j
+    try:
+        for a in roots:
+            d = x - a
+            u = 1.0 / d
+            f += u
+            scale += abs(u)
+            prod *= d
+    except ZeroDivisionError:
+        return math.inf, 0.0, math.inf
+    return abs(f), scale, abs(prod * f)
+
+
+def critical_points_of_roots(roots) -> RootSet:
+    """Critical points of P = prod (x - a) over a tuple of finite complex
+    roots (a Poly's stored roots or a C^k coordinate column), counted with
+    multiplicity (len(roots) - 1 in total), with no coefficients formed.
+
+    A root b of multiplicity m is a critical point of multiplicity m - 1
+    (residual 0).  Every other point, from the closed form for two distinct
+    roots or from the secular iteration, is accepted on its backward error
+    |f(x)| <= POLY_RESIDUAL_TOL * sum 1/|x - a_i| with f = P'/P; its
+    residual is |P'(x)|.  Raises RootFindError when the iteration diverges
+    or a point fails that test.
+    """
+    n = len(roots)
+    if n < 2:
+        raise DomainError("critical points need degree >= 2")
+    distinct = tuple(dict.fromkeys(roots))
+    d = len(distinct)
+    if d == n:
+        mults, multiple = (1,) * n, ()
+    else:
+        mults = tuple(roots.count(b) for b in distinct)
+        multiple = tuple((b, m - 1) for b, m in zip(distinct, mults) if m > 1)
+
+    if d == 1:
+        found = []
+    elif d == 2:  # the zero of m_1/(x - b_1) + m_2/(x - b_2)
+        found = [((mults[1] * distinct[0] + mults[0] * distinct[1]) / n, 1)]
+    else:
+        rho = sum(roots) / n
+        radius = max([abs(a - rho) for a in roots])
+        guesses = [rho + radius * u for u in _unit_circle(d - 1)]
+        zs = _aberth_sweeps(_secular_correction(roots, multiple), guesses, radius)
+        _require_finite(zs, radius, lambda z: _secular_residual(roots, z)[2])
+        found = _cluster_means(zs)
+
+    checked = [(x, m, *_secular_residual(roots, x)) for x, m in found]
+    for x, _, fabs, scale, _ in checked:
+        if not fabs <= POLY_RESIDUAL_TOL * scale:
+            raise _not_converged(
+                x, fabs, POLY_RESIDUAL_TOL * scale,
+                [c[0] for c in checked], [c[4] for c in checked],
+            )
+    points = [(b, k, 0.0) for b, k in multiple]
+    points += [(x, m, res) for x, m, _, _, res in checked]
+    return RootSet(*zip(*_by_position(points)))
+
+
 def critical_points(p: Poly) -> RootSet:
-    """Roots of p', counted with multiplicity (degree(p) - 1 in total)."""
+    """Roots of p', counted with multiplicity (degree(p) - 1 in total): from
+    p's stored roots when it has them, else from the coefficients of p'."""
     if p.degree < 2:
         raise DomainError("critical points need degree >= 2")
+    if p.roots is not None:
+        return critical_points_of_roots(p.roots)
     return find_roots(derivative(p))
 
 

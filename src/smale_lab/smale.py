@@ -136,8 +136,8 @@ class _QuotientKernel:
         self.dp = derivative(p)
         self._critical_scale = CRITICAL_TOL * self.dp.coeff_scale
         self._lead, self._tail = p.coeffs[-1], p.coeffs[-2:0:-1]  # a_n; a_(n-1) .. a_1
-        # find_roots passes every root through evaluate, which rejects
-        # non-finite values, so the critical points need no finiteness check
+        # the root finder rejects non-finite critical points in either form,
+        # so they need no finiteness check here
         self.criticals = cached_critical_points(p).roots
         self._last = (_NO_POINT, None)
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from smale_lab import simplex
+from smale_lab.cstar import CStarElement, _coordinate_terms
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import (
+    COINCIDENCE_TOL,
     Poly,
     derivative,
     evaluate,
@@ -259,3 +261,55 @@ def search_objective(maximize):
 def set_cpus(monkeypatch, n: int) -> None:
     """Make fanout.fan_out size itself to n workers, as on an n-CPU host."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+# The degree-2 C^k identities of acceptance criteria 1 and 2, computed
+# through the checker's per-coordinate pass.
+
+
+def _degree2(a: CStarElement, b: CStarElement, z: CStarElement):
+    """(c, P'(z), per-coordinate P(z) - P(c)) for P = (z - a)(z - b) with
+    critical midpoint c."""
+    a._check_dim(b)
+    a._check_dim(z)
+    c = CStarElement(tuple((x + y) / 2.0 for x, y in zip(a.coords, b.coords)))
+    terms = [
+        _coordinate_terms((at, bt), zt, (ct,))
+        for at, bt, zt, ct in zip(a.coords, b.coords, z.coords, c.coords)
+    ]
+    dval = CStarElement(tuple(dt for dt, _ in terms))
+    if dval.norm() <= COINCIDENCE_TOL * max(1.0, z.norm(), c.norm()):
+        raise PreconditionError("z is the critical midpoint of (a, b)")
+    return c, dval, [diff for _, (diff,) in terms]
+
+
+def degree2_identity_residual(
+    a: CStarElement, b: CStarElement, z: CStarElement
+) -> float:
+    """Defect of the degree-2 equality, scaled by the input size.
+
+    For P = (z - a)(z - b) with midpoint c, both the direct and the dual
+    squared inequalities are equalities:
+    |P(z)_t - P(c)_t|^2 = (1/4) |z_t - c_t|^2 |P'(z)_t|^2 per coordinate.
+    Returns the largest coordinate defect of that identity divided by
+    max(1, ||z||, ||a||, ||b||)^4, so the value is meaningful uniformly
+    over input scales.
+    """
+    c, dval, diffs = _degree2(a, b, z)
+    scale = max(1.0, z.norm(), a.norm(), b.norm()) ** 4
+    worst = 0.0
+    for t in range(a.dim):
+        lhs = abs(diffs[t]) ** 2
+        rhs = 0.25 * abs(z.coords[t] - c.coords[t]) ** 2 * abs(dval.coords[t]) ** 2
+        defect = abs(lhs - rhs) / scale
+        if defect > worst:
+            worst = defect
+    return worst
+
+
+def degree2_higher_order(a: CStarElement, b: CStarElement, z: CStarElement) -> float:
+    """(||P''(z)|| / 2!) ||P(z) - P(c)|| / ||P'(z)||^2 for degree 2."""
+    _, dval, diffs = _degree2(a, b, z)
+    num = max(abs(d) for d in diffs)
+    # P'' is the constant element 2, so ||P''(z)|| / 2! = 1
+    return num / dval.norm() ** 2

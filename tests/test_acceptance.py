@@ -12,13 +12,8 @@ import subprocess
 import sys
 import time
 
-from smale_lab.cstar import (
-    CStarElement,
-    CStarPoly,
-    check_strong_forms,
-    degree2_higher_order,
-    degree2_identity_residual,
-)
+from conftest import degree2_higher_order, degree2_identity_residual
+from smale_lab.cstar import CStarElement, CStarPoly, check_strong_forms
 from smale_lab.errors import PreconditionError
 from smale_lab.polycore import from_roots
 from smale_lab.rng import Stream

@@ -1,7 +1,10 @@
 """The summary that bench/pair.py writes into a BENCH file, on synthetic
-samples: no subprocess, no git, no benchmark run."""
+samples, and the content id it records, on a scratch git repository: no
+benchmark run."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,34 @@ def test_self_time_per_call_is_left_out_when_a_run_made_no_call():
     by_side = {"parent": _runs({"a.calls": [0.0, 5.0], "a.self_s": [0.0, 1.0]}),
                "change": _runs({"a.calls": [5.0, 5.0], "a.self_s": [1.0, 1.0]})}
     assert list(pair.summarize_metrics(specs, by_side)) == ["a.calls", "a.self_s"]
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=root, check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_tree_id_names_the_copied_tree_and_moves_nothing(tmp_path):
+    _git(tmp_path, "init", "-q")
+    (tmp_path / ".gitignore").write_text("*.log\n")
+    (tmp_path / "a.py").write_text("a = 1\n")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "base")
+    head = _git(tmp_path, "rev-parse", "HEAD")
+    # a clean tree is the commit's tree; an ignored file is not copied
+    (tmp_path / "run.log").write_text("noise\n")
+    assert pair.tree_id(tmp_path) == _git(tmp_path, "rev-parse", "HEAD^{tree}")
+    # an edit and an untracked file each give another id
+    (tmp_path / "a.py").write_text("a = 2\n")
+    edited = pair.tree_id(tmp_path)
+    (tmp_path / "b.py").write_text("b = 1\n")
+    untracked = pair.tree_id(tmp_path)
+    assert len({edited, untracked, _git(tmp_path, "rev-parse", "HEAD^{tree}")}) == 3
+    # neither a ref nor the real index moved
+    assert _git(tmp_path, "rev-parse", "HEAD") == head
+    assert _git(tmp_path, "diff", "--cached", "--name-only") == ""
+    assert _git(tmp_path, "ls-files").split() == [".gitignore", "a.py"]
+    # the id is the tree git would commit from these files
+    _git(tmp_path, "add", "-A")
+    assert _git(tmp_path, "write-tree") == untracked

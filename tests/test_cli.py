@@ -124,6 +124,20 @@ class TestCStar:
         assert data["stats"]["trials_run"] + data["stats"]["trials_skipped"] == 10
         load_schema_validator()(data)
 
+    @pytest.mark.parametrize("argv", [
+        ["--degree", "50", "--dim", "1", "--trials", "3"],
+        ["--degree", "40", "--dim", "2", "--trials", "40", "--seed", "3"],
+    ])
+    def test_high_degree_critical_points_from_the_roots(self, argv, capsys):
+        # from P''s coefficients, Aberth started on the Cauchy circle and
+        # did not converge on these draws (exit 1); the coordinate columns'
+        # secular iteration starts at the roots' mean
+        from smale_lab import cli
+
+        assert cli.run(["cstar", *argv]) in (0, 2)
+        data = json.loads(capsys.readouterr().out)
+        assert data["stats"]["trials_run"] + data["stats"]["trials_skipped"] == int(argv[5])
+
     @pytest.mark.parametrize("argv,message", [
         (["--degree", "1", "--dim", "2", "--trials", "5"], "degree >= 2"),
         (["--degree", "3", "--dim", "0", "--trials", "5"], "dim >= 1"),

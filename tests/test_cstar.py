@@ -4,6 +4,8 @@ import math
 import pytest
 
 from conftest import (
+    degree2_higher_order,
+    degree2_identity_residual,
     gaussian_int,
     outcome,
     polar,
@@ -18,8 +20,6 @@ from smale_lab.cstar import (
     _coordinate_terms,
     check_strong_forms,
     cstar_derivative_eval,
-    degree2_higher_order,
-    degree2_identity_residual,
     enumerate_critical_set,
 )
 from smale_lab.errors import DomainError, PreconditionError
@@ -38,9 +38,14 @@ def critical_elements(crit) -> list[CStarElement]:
     return [CStarElement(combo) for combo in itertools.product(*pools)]
 
 
+def coordinate_polys(P: CStarPoly):
+    """The scalar polynomial along each Gelfand point, from its root column."""
+    return tuple(from_roots(col) for col in P.columns)
+
+
 def pointwise_value(P: CStarPoly, z: CStarElement) -> tuple[complex, ...]:
     """P(z) coordinate by coordinate, by evaluate on each coordinate poly."""
-    return tuple(evaluate(p, zt) for p, zt in zip(P.coordinate_polys, z.coords))
+    return tuple(evaluate(p, zt) for p, zt in zip(coordinate_polys(P), z.coords))
 
 
 def quotient_norm(P: CStarPoly, z: CStarElement, w: CStarElement) -> float:
@@ -78,7 +83,7 @@ class TestEvaluation:
         stream = Stream(88)
         roots = [stream.complex_in_disk(2.0) for _ in range(4)]
         P = CStarPoly(tuple(CStarElement((r,)) for r in roots))
-        (p,) = P.coordinate_polys
+        (p,) = coordinate_polys(P)
         for _ in range(50):
             z = stream.complex_in_disk(3.0)
             want = math.prod(z - r for r in roots)
@@ -100,7 +105,7 @@ class TestEvaluation:
         z = rand_element(stream, 2, 3.0)
         got = cstar_derivative_eval(P, z)
         for t in range(2):
-            p = P.coordinate_polys[t]
+            p = coordinate_polys(P)[t]
             from smale_lab.polycore import derivative
 
             want = evaluate(derivative(p), z.coords[t])
@@ -131,14 +136,14 @@ class TestEvaluation:
                 P = CStarPoly(tuple(rand_element(st_, k, 2.0) for _ in range(n)))
                 z = rand_element(st_, k, 3.0)
                 crit = enumerate_critical_set(P)
-                for p, zt, rs in zip(P.coordinate_polys, z.coords, crit.per_coordinate):
+                for col, zt, rs in zip(P.columns, z.coords, crit.per_coordinate):
                     near = [zt + polar(r, 2 * math.pi * st_.uniform()) for r in (1e-3, 1e-8)]
                     pool = list(rs.roots) + near
-                    deriv, diffs = _coordinate_terms(p.roots, zt, pool)
-                    assert hexes(deriv) == hexes(sum_of_products_derivative(p.roots, zt))
+                    deriv, diffs = _coordinate_terms(col, zt, pool)
+                    assert hexes(deriv) == hexes(sum_of_products_derivative(col, zt))
                     assert len(diffs) == len(pool)
                     for diff, w in zip(diffs, pool):
-                        assert hexes(diff) == hexes(telescoped_difference(p.roots, zt, w))
+                        assert hexes(diff) == hexes(telescoped_difference(col, zt, w))
                         count += 1
         assert count > 500
 
@@ -343,7 +348,7 @@ class TestCheckSmale:
         for t in range(3):
             pool = crit.per_coordinate[t].roots
             zt = z.coords[t]
-            pt = P.coordinate_polys[t]
+            pt = coordinate_polys(P)[t]
             best = min(
                 pool,
                 key=lambda w: abs(evaluate(pt, zt) - evaluate(pt, w)) / abs(zt - w),

@@ -1,10 +1,14 @@
+import math
+
 import pytest
 
 from conftest import match_multisets, random_roots
 from smale_lab.errors import DomainError, RootFindError
 from smale_lab.polycore import evaluate, from_coeffs, from_roots
 from smale_lab.rng import Stream
-from smale_lab.rootfind import critical_points, find_roots
+from smale_lab.polycore import Poly, derivative
+from smale_lab.rootfind import critical_points, critical_points_of_roots, find_roots
+from smale_lab.verify import XC, _divide, _expand
 
 
 def test_linear():
@@ -141,3 +145,61 @@ def test_far_critical_point_accepted_by_relative_residual():
         for r in rs.roots:
             step = abs(evaluate(dp, r) / evaluate(ddp, r))
             assert step <= 1e-12 * max(1.0, abs(r))
+
+
+def test_root_form_takes_the_secular_path():
+    # a Poly with stored roots gets its critical points from them: the same
+    # RootSet as critical_points_of_roots, close to the coefficient path's
+    st = Stream(46, 5)
+    roots = tuple(st.complex_in_disk(2.0) for _ in range(7))
+    p = from_roots(roots)
+    rs = critical_points(p)
+    assert rs == critical_points_of_roots(roots)
+    coeff = critical_points(Poly(p.coeffs))
+    assert rs.multiplicities == coeff.multiplicities == (1,) * 6
+    assert match_multisets(rs.roots, coeff.roots, 1e-10) <= 1e-10
+
+
+def test_root_form_backward_error_is_exact_at_degree_30():
+    # |P'(x)| in exact rationals at each float critical point, relative to
+    # the scale of its terms, sum_j prod_{i != j} |x - a_i|
+    st = Stream(47, 5)
+    roots = [st.complex_in_disk(2.0) for _ in range(30)]
+    rs = critical_points_of_roots(tuple(roots))
+    assert rs.multiplicities == (1,) * 29
+    cs = _expand([XC.of(a) for a in roots])
+    worst = 0.0
+    for x in rs.roots:
+        b, _ = _divide(cs, XC.of(x))
+        dp = math.sqrt(float(_divide(b, XC.of(x))[1].abs2()))
+        dists = [abs(x - a) for a in roots]
+        scale = sum(math.prod(dists[:j] + dists[j + 1:]) for j in range(30))
+        worst = max(worst, dp / scale)
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize("roots, want", [
+    ([1 + 1j] * 5, [(1 + 1j, 4)]),  # all equal
+    ([0, 0, 1], [(0, 1), (2 / 3, 1)]),  # one double root
+    ([0, 0, 0, 1, 1], [(0, 2), (0.6, 1), (1, 1)]),  # a triple plus a double
+])
+def test_repeated_roots_in_closed_form(roots, want):
+    # P = x^3 (x - 1)^2: P' = x^2 (x - 1)(5x - 3)
+    rs = critical_points(from_roots(roots))
+    assert rs.multiplicities == tuple(m for _, m in want)
+    for got, (w, _) in zip(rs.roots, want):
+        assert abs(got - w) <= 1e-15
+    assert sum(rs.multiplicities) == len(roots) - 1
+
+
+def test_repeated_roots_beside_the_secular_iteration():
+    # a triple and a double root keep their points exactly; the other four
+    # critical points, found by iteration, match the coefficient path
+    roots = [0.5j] * 3 + [1 - 1j] * 2 + [2, -1.5 + 0.25j, 0.3 - 1.2j]
+    rs = critical_points_of_roots(tuple(complex(r) for r in roots))
+    found = dict(zip(rs.roots, zip(rs.multiplicities, rs.residuals)))
+    assert found[0.5j] == (2, 0.0)
+    assert found[1 - 1j] == (1, 0.0)
+    assert sum(rs.multiplicities) == 7
+    oracle = find_roots(derivative(Poly(from_roots(roots).coeffs))).expanded()
+    assert match_multisets(rs.expanded(), oracle, 1e-6) <= 1e-6

@@ -413,13 +413,13 @@ class TestHunt:
         from smale_lab import cstar
 
         seen = []
-        real = cstar.critical_points
+        real = cstar.critical_points_of_roots
 
-        def spy(p):
-            seen.append(p)
-            return real(p)
+        def spy(roots):
+            seen.append(roots)
+            return real(roots)
 
-        monkeypatch.setattr(cstar, "critical_points", spy)
+        monkeypatch.setattr(cstar, "critical_points_of_roots", spy)
         res = run_hunt(4, 3, 5, SearchConfig(seed=1))
         assert res.stats.trials_run == 5
         assert len(seen) == 3 * 5
