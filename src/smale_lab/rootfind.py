@@ -1,9 +1,12 @@
 """Simultaneous root finding for polynomials in coefficient or root form.
 
 One Aberth-Ehrlich loop serves both forms; only its Newton correction
-differs.  A coefficient-form polynomial gets p/p' from one Horner pass,
-its iteration starts on a circle of the Cauchy-bound radius, and a short
-Newton polish follows.  The critical points of a root-form polynomial
+differs.  Degree <= 2 needs no iteration in either form: closed forms give
+those points.  A coefficient-form polynomial of degree 1 or 2 gets its
+roots from the linear or the cancellation-free quadratic formula; from
+degree 3 on it gets p/p' from one Horner pass and its iteration starts on
+a circle of the Cauchy-bound radius.  Quadratic and iterated roots alike
+get a short Newton polish.  The critical points of a root-form polynomial
 P = prod (x - a_i) need no coefficients (the secular-equation form of Bini
 and Robol, J. Comput. Appl. Math. 272, 2014): with the equal roots grouped
 as b_i of multiplicity m_i, each b_i with m_i > 1 is a critical point of
@@ -161,6 +164,19 @@ def _aberth_sweeps(correction, guesses, radius):
     return zs
 
 
+def _quadratic_roots(b, c):
+    """The roots of x^2 + b x + c by the cancellation-free quadratic
+    formula: d = sqrt(b^2 - 4c) with the sign that makes Re(conj(b) d) >= 0,
+    so b and d do not cancel in q = -(b + d)/2, and the other root is c/q
+    (both 0 when q = 0).  Products, not powers, so an overflow gives inf,
+    never OverflowError."""
+    d = cmath.sqrt(b * b - 4.0 * c)
+    if b.real * d.real + b.imag * d.imag < 0:
+        d = -d
+    q = -(b + d) / 2.0
+    return [q, c / q] if q else [q, q]
+
+
 def _polish(coeffs, z):
     val, dval = _horner_pair(coeffs, z)
     best = abs(val)
@@ -259,8 +275,11 @@ def find_roots(p: Poly) -> RootSet:
         root = -monic[0]
         return RootSet((root,), (1,), (abs(evaluate(p, root)),))
 
-    guesses = [radius * u for u in _unit_circle(n)]
-    zs = _aberth_sweeps(_horner_correction(monic), guesses, radius)
+    if n == 2:
+        zs = _quadratic_roots(monic[1], monic[0])
+    else:
+        guesses = [radius * u for u in _unit_circle(n)]
+        zs = _aberth_sweeps(_horner_correction(monic), guesses, radius)
     zs = [_polish(p.coeffs, z) for z in zs]
     _require_finite(zs, radius, lambda z: abs(_horner_pair(p.coeffs, z)[0]))
 

@@ -143,8 +143,8 @@ class _QuotientKernel:
 
     def deflate(self, z: Scalar) -> tuple[complex, float, list[complex]]:
         """(complex z, |P'(z)|, B's coefficients below its leading a_n, highest
-        first); DomainError for a non-finite z or overflowing |z|^(n-1),
-        PreconditionError at a critical point of P."""
+        first); DomainError for a non-finite z or an overflowing |z|^(n-1)
+        or |P'(z)|, PreconditionError at a critical point of P."""
         c = require_finite(z, "evaluation point")
         try:
             zpow = max(1.0, abs(c)) ** self.dp.degree
@@ -152,7 +152,10 @@ class _QuotientKernel:
             raise DomainError(f"|z|^{self.dp.degree} overflows at z = {c!r}") from None
         acc = lead = self._lead
         tail = [acc := acc * c + a for a in self._tail]
-        dabs = quotient_moduli(lead, tail, (c,))[0]
+        try:
+            dabs = quotient_moduli(lead, tail, (c,))[0]
+        except OverflowError:
+            raise DomainError(f"|P'(z)| overflows at z = {c!r}") from None
         if dabs <= self._critical_scale * zpow:
             raise PreconditionError(f"z = {c!r} is a critical point of p")
         return c, dabs, tail
@@ -358,7 +361,10 @@ def bound_report(p: Poly, sampler: SampleConfig = SampleConfig()) -> ScalarRepor
         diff = min(q * abs(z - w) for w, q in zip(kernel.criticals, qs))
         taylor = taylor_coefficients(p, z)  # P^(k)(z) / k!
         for k in range(2, n + 1):
-            high_max[k] = max(high_max[k], abs(taylor[k]) * diff ** (k - 1) / dval ** k)
+            # one power of the ratio: diff^(k-1) / dval^k overflows at high degree
+            high_max[k] = max(
+                high_max[k], abs(taylor[k]) * (diff / dval) ** (k - 1) / dval
+            )
 
     s_scored.sort(key=lambda item: item[0], reverse=True)
     s_best, s_z, s_wit = _refined(kernel, s_scored, sampler)

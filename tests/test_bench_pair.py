@@ -1,8 +1,9 @@
 """The summary that bench/pair.py writes into a BENCH file, on synthetic
-samples, and the content id it records, on a scratch git repository: no
-benchmark run."""
+samples, the content id it records, and the chains bench/trend.py draws
+from BENCH files, on scratch git repositories: no benchmark run."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -129,3 +130,76 @@ def test_tree_id_names_the_copied_tree_and_moves_nothing(tmp_path):
     # the id is the tree git would commit from these files
     _git(tmp_path, "add", "-A")
     assert _git(tmp_path, "write-tree") == untracked
+
+
+_TREND_PATH = _PATH.parent / "trend.py"
+_TREND_SPEC = importlib.util.spec_from_file_location("bench_trend", _TREND_PATH)
+trend = importlib.util.module_from_spec(_TREND_SPEC)
+_TREND_SPEC.loader.exec_module(trend)
+
+
+def _bench_file(path, base, change, edited, metrics, pairs=10, trace=0):
+    """A synthetic BENCH file: {workload: {metric: (median ratio, change wins)}}."""
+    workloads = {w: {"metrics": {m: {"median_ratio": r, "change_wins": wins, "pairs": pairs}
+                                 for m, (r, wins) in ms.items()}}
+                 for w, ms in metrics.items()}
+    env = {"base_commit": base, "change_commit": change,
+           "change_has_uncommitted_edits": edited, "pairs": pairs, "trace": trace}
+    path.write_text(json.dumps({"environment": env, "workloads": workloads}))
+
+
+def _commit(root, name, text, message):
+    (root / name).parent.mkdir(parents=True, exist_ok=True)
+    (root / name).write_text(text)
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", message)
+    return _git(root, "rev-parse", "HEAD")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_trend_chains_ratios_in_commit_order_and_names_the_gaps(tmp_path, capsys):
+    _git(tmp_path, "init", "-q")
+    c0 = _commit(tmp_path, "src/a.py", "a = 0\n", "base")
+    # c1's change is recorded with its BENCH file, measured before the commit
+    _bench_file(tmp_path / "BENCH_one.json", c0, c0, True,
+                {"w": {"p50": (0.5, 10)}, "v": {"p50": (1.1, 2)}})
+    _bench_file(tmp_path / "BENCH_trace.json", c0, c0, True,
+                {"w": {"x.self_s": (3.0, 0), "x.self_s_per_call": (0.9, 2)}}, pairs=2, trace=1)
+    c1 = _commit(tmp_path, "src/a.py", "a = 1\n", "measured")
+    c2 = _commit(tmp_path, "src/a.py", "a = 2\n", "not measured")
+    _commit(tmp_path, "README", "docs\n", "no src change")
+    c4 = _commit(tmp_path, "src/a.py", "a = 4\n", "measured, committed tree")
+    # a committed change names its own commit; the same span again, with
+    # fewer pairs, is not chained a second time
+    _bench_file(tmp_path / "BENCH_two.json", c2, c4, False, {"w": {"p50": (0.8, 9)}})
+    _bench_file(tmp_path / "BENCH_again.json", c2, c4, False, {"w": {"p50": (0.1, 5)}}, pairs=5)
+    # a file that is not committed yet measured the working tree
+    (tmp_path / "src/a.py").write_text("a = 5\n")
+    _bench_file(tmp_path / "BENCH_three.json", c4, c4, True, {"w": {"p50": (0.75, 10)}})
+
+    files = [trend.load(p, tmp_path) for p in sorted(tmp_path.glob("BENCH_*.json"))]
+    spans = {f["name"]: (f["base"], f["change"]) for f in files}
+    assert spans["BENCH_one.json"] == (c0, c1)
+    assert spans["BENCH_two.json"] == (c2, c4)
+    assert spans["BENCH_three.json"] == (c4, trend.WORKTREE)
+
+    order = trend.commit_order(tmp_path)
+    linked, skipped = trend.chains(files, order)
+    links = linked[("w", "p50")]
+    assert [f["name"] for f, _ in links] == ["BENCH_one.json", "BENCH_two.json",
+                                             "BENCH_three.json"]
+    assert trend.product(links) == pytest.approx(0.5 * 0.8 * 0.75)
+    assert trend.product(linked[("v", "p50")]) == 1.1
+    # a traced file chains only its per-call self times
+    assert [f["name"] for f, _ in linked[("w", "x.self_s_per_call")]] == ["BENCH_trace.json"]
+    assert ("w", "x.self_s") not in linked
+    assert [(f["name"], w, g["name"]) for f, w, g in skipped] == [
+        ("BENCH_again.json", "w", "BENCH_two.json")]
+    # c2 changed src/ and no span covers it; the README commit changed no src
+    assert trend.uncovered(files, order, tmp_path) == (c0, [c2])
+
+    assert trend.main([], root=tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "w p50: 0.300 = 0.500 BENCH_one.json (10/10) x 0.800 BENCH_two.json (9/10)" in out
+    assert "not chained: BENCH_again.json w (its span overlaps BENCH_two.json)" in out
+    assert out.rstrip().endswith(f"{c2[:7]} not measured")

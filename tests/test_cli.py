@@ -92,6 +92,22 @@ class TestAnalyze:
         assert proc.returncode == 1
         assert "roots[1]" in proc.stderr
 
+    @pytest.mark.parametrize("degree", [24, 30])
+    def test_high_degree_samples_do_not_overflow(self, degree, capsys):
+        # |P'(z)|^k passes the float range at sampled points of these draws:
+        # the higher-order term is formed from the ratio |P(z) - P(w)|/|P'(z)|,
+        # and a refinement step where |P'(z)| itself overflows scores inf
+        from smale_lab import cli
+        from smale_lab.rng import Stream
+
+        stream = Stream(0, 5)
+        roots = [stream.complex_in_disk(2.0) for _ in range(degree)]
+        poly = json.dumps({"roots": [[r.real, r.imag] for r in roots]})
+        assert cli.run(["analyze", "--poly", poly, "--samples", "50"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["report"]["degree"] == degree
+        assert_finite_numbers(data)
+
 
 class TestCStar:
     def test_degree2_clean(self):

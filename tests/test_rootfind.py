@@ -47,6 +47,44 @@ def test_double_critical_point():
     assert abs(rs.roots[0]) <= 1e-7
 
 
+def test_quadratic_takes_the_closed_form(monkeypatch):
+    # degree 2 never iterates; a cubic's critical points are such roots
+    from smale_lab import rootfind
+
+    def no_sweeps(*args):
+        raise AssertionError("degree 2 ran Aberth sweeps")
+
+    monkeypatch.setattr(rootfind, "_aberth_sweeps", no_sweeps)
+    rs = critical_points(from_coeffs([0, 1, 0, -1 / 3]))  # p' = 1 - z^2
+    assert rs.roots == (-1 + 0j, 1 + 0j)
+    assert rs.residuals == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("coeffs, root", [([4, 4, 1], -2), ([0, 0, 1], 0)],
+                         ids=["z2+4z+4", "z2"])
+def test_exact_double_root_in_closed_form(coeffs, root):
+    # the discriminant is exactly 0, so both roots are exact
+    rs = find_roots(from_coeffs(coeffs))
+    assert rs.roots == (complex(root),)
+    assert rs.multiplicities == (2,)
+    assert rs.residuals == (0.0,)
+
+
+def test_close_quadratic_roots_cluster_as_one_double_root():
+    r = 0.5 + 0.25j
+    s = r + 1e-9
+    rs = find_roots(from_coeffs([r * s, -(r + s), 1]))
+    assert rs.multiplicities == (2,)
+    assert abs(rs.roots[0] - (r + s) / 2) <= 1e-8
+
+
+def test_quadratic_overflow_is_a_root_find_error():
+    # b^2 overflows: the closed form gives an infinite root, which is a
+    # RootFindError, never an OverflowError
+    with pytest.raises(RootFindError, match="diverged"):
+        find_roots(from_coeffs([1, 1e200, 1]))
+
+
 def test_degree_cap_and_preconditions():
     with pytest.raises(DomainError):
         find_roots(from_coeffs([1]))
