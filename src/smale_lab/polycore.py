@@ -39,7 +39,12 @@ def require_finite(z: complex, what: str = "value") -> complex:
 
 @dataclass(frozen=True)
 class Poly:
-    """Immutable polynomial; hashable so callers may memoize on it."""
+    """Immutable polynomial; hashable so callers may memoize on it.
+
+    The hash is computed once, at construction, from the coefficients
+    alone: equal Polys have equal coefficients, and a tuple of complex
+    hashes the same in every process, so a pickled copy keeps a valid hash.
+    """
 
     coeffs: tuple[complex, ...]
     roots: tuple[complex, ...] | None = None
@@ -66,6 +71,10 @@ class Poly:
                     raise DomainError(
                         f"stored root {r!r} has residual {res:.3e} > {tol:.3e}"
                     )
+        object.__setattr__(self, "_hash", hash(self.coeffs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:

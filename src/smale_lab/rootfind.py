@@ -229,10 +229,15 @@ def _cluster_means(zs):
 
 def _require_finite(zs, radius, residual):
     """Raise RootFindError, with residual(z) at every iterate attached, when
-    the iteration left the finite numbers."""
+    the iterates left the finite numbers; ``radius`` is the iteration's
+    start circle, None for the closed-form quadratic."""
     if not all(cmath.isfinite(z) for z in zs):
+        if radius is None:
+            message = "closed-form quadratic roots diverged: a root overflows"
+        else:
+            message = f"root iteration diverged from the start circle of radius {radius:.3e}"
         raise RootFindError(
-            f"root iteration diverged from the start circle of radius {radius:.3e}",
+            message,
             roots=zs,
             residuals=[residual(z) for z in zs],
         )
@@ -269,15 +274,15 @@ def find_roots(p: Poly) -> RootSet:
         raise DomainError(f"leading coefficient too small: |a_n| = {abs(lead):.3e}")
 
     monic = tuple(c / lead for c in p.coeffs)
-    radius = cauchy_root_bound(p)
 
     if n == 1:
         root = -monic[0]
         return RootSet((root,), (1,), (abs(evaluate(p, root)),))
 
     if n == 2:
-        zs = _quadratic_roots(monic[1], monic[0])
+        zs, radius = _quadratic_roots(monic[1], monic[0]), None
     else:
+        radius = cauchy_root_bound(p)
         guesses = [radius * u for u in _unit_circle(n)]
         zs = _aberth_sweeps(_horner_correction(monic), guesses, radius)
     zs = [_polish(p.coeffs, z) for z in zs]

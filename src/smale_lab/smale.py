@@ -18,8 +18,10 @@ point, holding its coefficients, critical threshold and critical points; one
 division of P by (x - z) gives P'(z) and every quotient at z.  The kernel
 keeps its last scan, so ``s_at`` and ``ds_at`` at the same z object share
 one scan; the key is the object's identity, as ``==`` merges 0j and -0j.
-The scan, s0/ds0, the extremal search and the dynamics read every float
-quotient modulus from one Horner pass over B, ``quotient_moduli``.
+The division loop also runs Horner's rule on B as it forms B, so it gives
+|P'(z)| = |B(z)|; the quotients at the critical points, s0/ds0, the
+extremal search and the dynamics read every other float quotient modulus
+from one Horner pass over B, ``quotient_moduli``.
 """
 
 from __future__ import annotations
@@ -144,16 +146,22 @@ class _QuotientKernel:
     def deflate(self, z: Scalar) -> tuple[complex, float, list[complex]]:
         """(complex z, |P'(z)|, B's coefficients below its leading a_n, highest
         first); DomainError for a non-finite z or an overflowing |z|^(n-1)
-        or |P'(z)|, PreconditionError at a critical point of P."""
+        or |P'(z)|, PreconditionError at a critical point of P.  Each b_i
+        also feeds Horner's rule for B(z) = P'(z) in the same loop, with
+        the operations of ``quotient_moduli`` in the same order."""
         c = require_finite(z, "evaluation point")
         try:
             zpow = max(1.0, abs(c)) ** self.dp.degree
         except OverflowError:
             raise DomainError(f"|z|^{self.dp.degree} overflows at z = {c!r}") from None
-        acc = lead = self._lead
-        tail = [acc := acc * c + a for a in self._tail]
+        acc = q = self._lead
+        tail = []
+        for a in self._tail:
+            acc = acc * c + a
+            q = q * c + acc
+            tail.append(acc)
         try:
-            dabs = quotient_moduli(lead, tail, (c,))[0]
+            dabs = abs(q)
         except OverflowError:
             raise DomainError(f"|P'(z)| overflows at z = {c!r}") from None
         if dabs <= self._critical_scale * zpow:
@@ -181,8 +189,8 @@ class _QuotientKernel:
     ) -> QuotientWitness:
         """Witness with the smallest (or largest) of the quotients ``scan``
         returned with ``dabs``; ties go to the first in root order."""
-        i = (min if smallest else max)(range(len(quotients)), key=quotients.__getitem__)
-        q = quotients[i]
+        q = min(quotients) if smallest else max(quotients)
+        i = quotients.index(q)
         return QuotientWitness(self.criticals[i], q, q * (1.0 / dabs))
 
 
@@ -257,16 +265,15 @@ def sample_points(p: Poly, sampler: SampleConfig) -> list[complex]:
     floor = 10.0 * CRITICAL_TOL * dp.coeff_scale
     pts: list[complex] = []
     for _ in range(sampler.n_samples):
-        z = None
         for _attempt in range(256):
             cand = stream.complex_in_disk(radius)
-            if all(abs(cand - w) > SAMPLER_MARGIN for w in criticals) and abs(
-                evaluate(dp, cand)
-            ) > floor * max(1.0, abs(cand)) ** dp.degree:
-                z = cand
-                break
-        if z is not None:
-            pts.append(z)
+            for w in criticals:
+                if abs(cand - w) <= SAMPLER_MARGIN:
+                    break
+            else:
+                if abs(evaluate(dp, cand)) > floor * max(1.0, abs(cand)) ** dp.degree:
+                    pts.append(cand)
+                    break
     if not pts:
         raise PreconditionError("sampler could not find any admissible point")
     return pts

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -216,3 +220,42 @@ class TestPolyInvariants:
     def test_trailing_zeros_trimmed(self):
         p = from_coeffs([1, 2, 0, 0])
         assert p.degree == 1
+
+
+class TestPolyHash:
+    # the hash is computed once, at construction; these hold it to the
+    # generated equality
+
+    def test_equal_polys_built_separately_hash_equal(self):
+        roots = random_roots(Stream(71), 5)
+        a, b = from_roots(roots), from_roots(list(roots))
+        assert a is not b and a == b and hash(a) == hash(b)
+        c, d = from_coeffs(a.coeffs), Poly(a.coeffs)
+        assert c == d and hash(c) == hash(d)
+        # -0j == 0j, so their Polys must hash alike too
+        assert from_coeffs([-0j, 1, 1]) == from_coeffs([0j, 1, 1])
+        assert hash(from_coeffs([-0j, 1, 1])) == hash(from_coeffs([0j, 1, 1]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: from_roots([0.5 + 1j, -2, 0.25j]),
+        lambda: from_coeffs([0, 1, 0.5, -0.25]),
+    ], ids=["roots", "coeffs"])
+    def test_pickled_poly_is_equal_and_hashes_the_same(self, make):
+        p = make()
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p) == hash(make())
+        assert {p: 1}[q] == 1
+
+    def test_hash_is_the_same_in_another_interpreter(self):
+        # a pickled copy carries its stored hash to the process that loads it
+        code = "from smale_lab.polycore import from_coeffs; print(hash(from_coeffs([0, 1, 0.5j])))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert int(out) == hash(from_coeffs([0, 1, 0.5j]))
+
+    def test_replace_rehashes(self):
+        p = from_roots([1, -1, 2j])
+        q = dataclasses.replace(p, coeffs=p.coeffs[:-1] + (2 + 0j,), roots=None)
+        assert q != p and q == Poly(q.coeffs) and hash(q) == hash(Poly(q.coeffs))
+        same = dataclasses.replace(p)
+        assert same == p and hash(same) == hash(p)

@@ -85,6 +85,13 @@ def test_quadratic_overflow_is_a_root_find_error():
         find_roots(from_coeffs([1, 1e200, 1]))
 
 
+def test_quadratic_overflow_names_no_start_circle():
+    # degree 2 starts from no circle: the message names the closed form
+    with pytest.raises(RootFindError, match="closed-form quadratic") as info:
+        find_roots(from_coeffs([1, 1e200, 1]))
+    assert "start circle" not in str(info.value)
+
+
 def test_degree_cap_and_preconditions():
     with pytest.raises(DomainError):
         find_roots(from_coeffs([1]))

@@ -97,7 +97,9 @@ class TestPointwise:
     def test_tie_breaks_to_first_in_root_order(self):
         # both critical points +-1 give the same quotient at z = 0; the
         # witness must be the lexicographically first (-1)
-        assert s_at(CUBIC, 0.0).w == cached_critical_points(CUBIC).roots[0]
+        first = cached_critical_points(CUBIC).roots[0]
+        assert s_at(CUBIC, 0.0).w == first
+        assert ds_at(CUBIC, 0.0).w == first
 
     def test_square_at_one(self):
         wit = s_at(from_coeffs([0, 0, 1]), 1.0)
@@ -434,7 +436,36 @@ def kernel_oracle_polys():
             yield from_roots(random_roots(st_, degree))
 
 
+def reference_sample_points(p, sampler):
+    """sample_points with the margin test written as one all(...) and the
+    |P'| test chained after it."""
+    kernel = smale._kernel(p)
+    criticals, dp = kernel.criticals, kernel.dp
+    stream = Stream(sampler.seed, smale._STREAM_SAMPLES)
+    radius = smale._sampling_radius(p)
+    floor = 10.0 * smale.CRITICAL_TOL * dp.coeff_scale
+    pts = []
+    for _ in range(sampler.n_samples):
+        for _attempt in range(256):
+            cand = stream.complex_in_disk(radius)
+            if all(abs(cand - w) > smale.SAMPLER_MARGIN for w in criticals) and abs(
+                evaluate(dp, cand)
+            ) > floor * max(1.0, abs(cand)) ** dp.degree:
+                pts.append(cand)
+                break
+    return pts
+
+
 class TestQuotientKernel:
+    @pytest.mark.parametrize("margin", [smale.SAMPLER_MARGIN, 0.5])
+    def test_sampler_matches_reference_sampler(self, margin, monkeypatch):
+        # the wide margin rejects many candidates, so both exits of the
+        # margin loop run
+        monkeypatch.setattr(smale, "SAMPLER_MARGIN", margin)
+        for trial, p in enumerate(kernel_oracle_polys()):
+            sampler = SampleConfig(n_samples=16, seed=trial)
+            assert sample_points(p, sampler) == reference_sample_points(p, sampler)
+
     def test_matches_reference_loop_bitwise(self):
         checked = 0
         for trial, p in enumerate(kernel_oracle_polys()):
