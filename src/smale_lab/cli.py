@@ -33,7 +33,7 @@ from .report import (
     scalar_report_to_json,
     search_state_to_json,
 )
-from .rootfind import cached_critical_points
+from .rootfind import critical_points
 from .search import (
     SearchConfig,
     hunt_mlp,
@@ -136,7 +136,7 @@ def _normalized_certificate(kind, p: Poly, seed, key, value, slack) -> Certifica
     if not beyond:
         return None
     ratio_sq, confirmed = confirm_normalized(
-        kind, p.coeffs, cached_critical_points(p).roots, bound
+        kind, p.coeffs, critical_points(p).roots, bound
     )
     if not confirmed:
         return None
@@ -214,7 +214,7 @@ def _cmd_dynamics(ns, seed: int) -> Outcome:
     if ns.poly is not None:
         p = _parse_poly(ns.poly)
         ok, res = mlp_check(p, ocfg)
-        runs = [orbit(p, w, ocfg) for w in cached_critical_points(p).roots]
+        runs = [orbit(p, w, ocfg) for w in critical_points(p).roots]
         body = {
             "poly": poly_payload(p),
             "mlp_pass": ok,

@@ -29,14 +29,14 @@ anything else is inconclusive (``max_iters``), never coerced to a verdict.
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, PreconditionError
 from .polycore import Poly, is_normalized, require_finite
-from .rootfind import cached_critical_points
+from .rootfind import critical_points
 from .smale import CONJ_SLACK, quotient_moduli
 
 VERDICT_CONVERGED = "converged_to_zero"
@@ -105,7 +105,14 @@ def escape_test(coeffs: Sequence[complex]) -> Callable[[complex], bool]:
     if len(lower) < 2:  # degree 1 has no escape radius
         return lambda z: False
     radius = max(1.0, (2.0 + math.fsum(map(abs, lower))) / abs(lead))
-    return lambda z: not abs(z) < radius  # NaN from overflow also escaped
+
+    def test(z: complex) -> bool:
+        try:
+            return not abs(z) < radius  # NaN from overflow also escaped
+        except OverflowError:  # finite parts, |z| past the largest float
+            return True
+
+    return test
 
 
 def orbit(p: Poly, w0: complex, cfg: OrbitConfig = OrbitConfig()) -> OrbitResult:
@@ -153,7 +160,14 @@ def orbit(p: Poly, w0: complex, cfg: OrbitConfig = OrbitConfig()) -> OrbitResult
             acc = acc * z + c
         z = acc
         steps += 1
-    final_mod = math.inf if cmath.isnan(z) else abs(z)  # NaN: overflow, escaped
+    # an iterate past the float range (a part is inf or NaN, or |z| is too
+    # large for a float) escaped; the largest float bounds its modulus below
+    try:
+        final_mod = abs(z)
+    except OverflowError:
+        final_mod = math.inf
+    if not final_mod <= sys.float_info.max:
+        final_mod = sys.float_info.max
     return OrbitResult(w0, ratio, steps, verdict, final_mod)
 
 
@@ -170,7 +184,7 @@ def mlp_check(p: Poly, cfg: OrbitConfig = OrbitConfig()) -> tuple[bool, OrbitRes
         raise DomainError("the dynamics check needs degree >= 2")
     if not is_normalized(p, 1e-10):
         raise PreconditionError("mlp_check needs p(0) = 0 and p'(0) = 1")
-    crits = cached_critical_points(p).roots
+    crits = critical_points(p).roots
     scored = list(zip(crits, quotient_moduli(p.coeffs[-1], p.coeffs[-2:0:-1], crits)))
     candidates = [w for w, ratio in scored if ratio <= 1.0 + CONJ_SLACK]
     last: OrbitResult | None = None

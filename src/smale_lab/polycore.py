@@ -90,10 +90,17 @@ def root_residual_bounds(p: Poly, roots) -> list[float]:
 
     The terms of p grow like |r|^n, so a residual is judged relative to
     that scale (the convention of the critical-point test in smale.py).
+    DomainError when |r|^n is past the float range.
     """
     accept = POLY_RESIDUAL_TOL * (1.0 + p.coeff_scale)
     n = p.degree
-    return [accept * max(1.0, abs(r)) ** n for r in roots]
+    bounds = []
+    for r in roots:
+        try:
+            bounds.append(accept * max(1.0, abs(r)) ** n)
+        except OverflowError:
+            raise DomainError(f"|r|^{n} overflows at root r = {r!r}") from None
+    return bounds
 
 
 def from_coeffs(values) -> Poly:

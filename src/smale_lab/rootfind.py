@@ -375,7 +375,7 @@ def critical_points(p: Poly) -> RootSet:
     return find_roots(derivative(p))
 
 
+# no package code calls this: perfbench/worker.py reads its cache_info() and the tracer wraps it
 @lru_cache(maxsize=1024)
 def cached_critical_points(p: Poly) -> RootSet:
-    """critical_points, memoized on the Poly."""
     return critical_points(p)

@@ -37,7 +37,7 @@ from .polycore import (
     require_finite,
 )
 from .rng import Stream
-from .rootfind import cached_critical_points
+from .rootfind import critical_points
 from .smale import CONJ_SLACK, SAMPLER_MARGIN, quotient_moduli
 from .verify import Certificate, confirm_normalized, exact_cstar_quotients
 
@@ -385,7 +385,7 @@ def mlp_certificate(p: Poly, res: OrbitResult, trial: int, seed: int) -> Certifi
     """The mlp certificate for a polynomial whose mlp_check found no witness;
     res is the OrbitResult that check returned."""
     ratio_sq, confirmed = confirm_normalized(
-        "mlp", p.coeffs, cached_critical_points(p).roots, bound=1.0
+        "mlp", p.coeffs, critical_points(p).roots, bound=1.0
     )
     return Certificate(
         kind="mlp",

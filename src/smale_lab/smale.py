@@ -13,12 +13,12 @@ quantities:
 Sampling estimates are one-sided by construction and reported as such.  The
 minimized side is refined by simplex search; the maximized side's ratio tends
 to 1/n as |z| grows, so its estimate is the sampled minimum capped at 1/n.
-Each polynomial has one cached kernel (``_kernel``), read by every entry
-point, holding its coefficients, critical threshold and critical points; one
-division of P by (x - z) gives P'(z) and every quotient at z.  The kernel
-keeps its last scan, so ``s_at`` and ``ds_at`` at the same z object share
-one scan; the key is the object's identity, as ``==`` merges 0j and -0j.
-The division loop also runs Horner's rule on B as it forms B, so it gives
+Every entry point reads the kernel of the polynomial in hand from one
+cache, ``_kernel``, which keeps one kernel: nothing is cached across
+polynomials.  The kernel holds P's coefficients, critical threshold and
+critical points; one division of P by (x - z) gives P'(z) and every
+quotient at z, and the division loop also runs Horner's rule on B as it
+forms B, so it gives
 |P'(z)| = |B(z)|; the quotients at the critical points, s0/ds0, the
 extremal search and the dynamics read every other float quotient modulus
 from one Horner pass over B, ``quotient_moduli``.
@@ -43,7 +43,7 @@ from .polycore import (
     taylor_coefficients,
 )
 from .rng import Stream
-from .rootfind import cached_critical_points, find_roots
+from .rootfind import critical_points, find_roots
 
 # Slack used when a float comparison sits on a theorem/conjecture boundary.
 CONJ_SLACK = 1e-9
@@ -114,7 +114,7 @@ class ScalarReport:
 
 class _QuotientKernel:
     """Everything the quotients of one polynomial need, hoisted out of the
-    per-point loop; built once per polynomial, by ``_kernel`` only.
+    per-point loop; built by ``_kernel`` only, once per polynomial in hand.
 
     ``scan`` divides P by (x - z) once, P(x) = (x - z) B(x) + P(z), and
     reads P'(z) = B(z) and each quotient (P(z) - P(w)) / (z - w) = B(w)
@@ -140,7 +140,7 @@ class _QuotientKernel:
         self._lead, self._tail = p.coeffs[-1], p.coeffs[-2:0:-1]  # a_n; a_(n-1) .. a_1
         # the root finder rejects non-finite critical points in either form,
         # so they need no finiteness check here
-        self.criticals = cached_critical_points(p).roots
+        self.criticals = critical_points(p).roots
         self._last = (_NO_POINT, None)
 
     def deflate(self, z: Scalar) -> tuple[complex, float, list[complex]]:
@@ -194,7 +194,7 @@ class _QuotientKernel:
         return QuotientWitness(self.criticals[i], q, q * (1.0 / dabs))
 
 
-_kernel = lru_cache(maxsize=2048)(_QuotientKernel)
+_kernel = lru_cache(maxsize=1)(_QuotientKernel)
 
 
 # perfbench/tracer.py wraps s_at, ds_at and this helper by name

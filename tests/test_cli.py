@@ -87,6 +87,15 @@ class TestAnalyze:
         assert proc.returncode == 1
         assert "--poly" in proc.stderr
 
+    def test_overflowing_root_is_an_error_line(self):
+        # |r|^n of a stored root past the float range bounds no residual
+        for roots in ([[1e150, 0], [0, 0], [1, 0]], [[1e30, 0]] + [[k, 0] for k in range(10)]):
+            proc = run_cli("analyze", "--poly", json.dumps({"roots": roots}))
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+            assert "overflows at root" in proc.stderr
+
     def test_malformed_pair_names_field(self):
         proc = run_cli("analyze", "--poly", '{"roots":[[0,0],[1]]}')
         assert proc.returncode == 1
@@ -220,6 +229,16 @@ class TestDynamics:
         assert data["passed"] == 40
         load_schema_validator()(data)
 
+    def test_overflowed_orbit_still_writes_its_report(self):
+        # one critical orbit leaves the float range in one step; the report
+        # gives its modulus as the largest float
+        proc = run_cli("dynamics", "--poly", '{"coeffs": [[0,0],[1,0],[1e100,0],[1e-25,0]]}')
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["orbits"][0]["verdict"] == "escaped"
+        assert data["orbits"][0]["final_modulus"] == sys.float_info.max
+        load_schema_validator()(data)
+
     def test_bad_sweep_argument(self):
         proc = run_cli("dynamics", "--random-sweep", "nope")
         assert proc.returncode == 1
@@ -251,6 +270,23 @@ class TestDynamics:
 
 
 class TestContract:
+    def test_commands_leave_the_critical_point_cache_alone(self, capsys):
+        # smale._kernel is the one cache of per-polynomial work; no command
+        # reads or fills rootfind.cached_critical_points
+        from smale_lab import cli, rootfind
+
+        before = rootfind.cached_critical_points.cache_info()
+        for argv in (
+            ["analyze", "--poly", '{"coeffs":[[0,0],[1,0],[-0.5,0]]}', "--samples", "20"],
+            ["dynamics", "--poly", '{"coeffs":[[0,0],[1,0],[0,0],[-0.3,0]]}'],
+            ["search", "--mode", "s0", "--degree", "3", "--restarts", "2"],
+            ["search", "--mode", "ds0", "--degree", "3", "--restarts", "2"],
+            ["cstar", "--degree", "3", "--dim", "2", "--trials", "5"],
+        ):
+            assert cli.run(argv) in (0, 2), argv
+        capsys.readouterr()
+        assert rootfind.cached_critical_points.cache_info() == before
+
     def test_usage_error_is_exit_1(self):
         proc = run_cli("analyze")
         assert proc.returncode == 1

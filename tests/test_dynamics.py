@@ -1,4 +1,7 @@
 
+import cmath
+import sys
+
 import pytest
 
 from conftest import assert_escapes, assert_in_petal
@@ -15,8 +18,9 @@ from smale_lab.dynamics import (
 from smale_lab.errors import DomainError, PreconditionError
 from smale_lab.polycore import evaluate, from_coeffs
 from smale_lab.rng import Stream
+from smale_lab.report import dumps
 from smale_lab.rootfind import critical_points
-from smale_lab.search import random_normalized_poly
+from smale_lab.search import mlp_certificate, random_normalized_poly
 from smale_lab.smale import _normalized_witnesses
 
 QUAD = from_coeffs([0, 1, -0.5])  # z - z^2/2
@@ -69,6 +73,28 @@ class TestOrbit:
         assert res.verdict == VERDICT_ESCAPED
         assert res.trajectory_len == 1
         assert_escapes(p.coeffs, final_point(p, res))
+
+    def test_overflowed_orbit_reports_the_largest_float(self):
+        # the critical point -6.67e124 of z + 1e100 z^2 + 1e-25 z^3 maps past
+        # the float range in one step: escaped, with the largest float as a
+        # lower bound on the modulus, so its mlp certificate stays writable
+        p = from_coeffs([0, 1, 1e100, 1e-25])
+        w = max(critical_points(p).roots, key=abs)
+        res = orbit(p, w)
+        assert (res.verdict, res.trajectory_len) == (VERDICT_ESCAPED, 1)
+        assert res.final_modulus == sys.float_info.max
+        cert = mlp_certificate(p, res, 0, 1)
+        assert cert.data["final_modulus"] == sys.float_info.max
+        dumps(cert.to_json())
+
+    def test_iterate_with_finite_parts_past_the_float_range_escapes(self):
+        # P(w0) has real and imaginary parts near 1.5e308, so |P(w0)| is not
+        # a float although both parts are; |w0| lies inside the escape radius
+        p = from_coeffs([0, 1, 0, 1e-200])
+        w0 = cmath.exp(cmath.log(complex(1.5e308, 1.5e308)) / 3) * 1e200 ** (1 / 3)
+        res = orbit(p, w0)
+        assert (res.verdict, res.trajectory_len) == (VERDICT_ESCAPED, 1)
+        assert res.final_modulus == sys.float_info.max
 
     def test_non_normalized_rejected(self):
         with pytest.raises(PreconditionError):

@@ -587,7 +587,7 @@ class TestQuotientKernel:
 
             monkeypatch.setattr(smale, name, counted)
 
-        spy("cached_critical_points", smale.cached_critical_points)
+        spy("critical_points", smale.critical_points)
         spy("_kernel", kernel_cache)
         scan = smale._QuotientKernel.scan
 
@@ -607,7 +607,7 @@ class TestQuotientKernel:
         short, long = counts
         assert long.pop("scan") > short.pop("scan")
         assert short == long
-        assert short["cached_critical_points"] == 1
+        assert short["critical_points"] == 1
 
     def test_kernel_built_once_per_polynomial(self, monkeypatch):
         # every entry point reads P', its threshold and the critical points
@@ -632,6 +632,18 @@ class TestQuotientKernel:
         rep = bound_report(p, FAST_SAMPLER)
         assert rep.s0 is not None and rep.ds0 is not None
         assert built == [p]
+
+    def test_kernel_cache_holds_only_the_polynomial_in_hand(self):
+        # every caller finishes one polynomial before the next, so the one
+        # cache of per-polynomial work keeps a single kernel
+        p, q = (from_roots(random_roots(Stream(seed), 4)) for seed in (66, 67))
+        bound_report(p, FAST_SAMPLER)
+        bound_report(q, FAST_SAMPLER)
+        info = smale._kernel.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+        hits = info.hits
+        smale._kernel(q)
+        assert smale._kernel.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("z", [3, -2, 3.0, 0.25, 10**20, 2 + 0j])
     def test_derivative_abs_is_evaluate_for_real_and_integer_points(self, z):
