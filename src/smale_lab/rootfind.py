@@ -1,22 +1,28 @@
 """Simultaneous root finding for polynomials in coefficient or root form.
 
 One Aberth-Ehrlich loop serves both forms; only its Newton correction
-differs.  Degree <= 2 needs no iteration in either form: closed forms give
-those points.  A coefficient-form polynomial of degree 1 or 2 gets its
-roots from the linear or the cancellation-free quadratic formula; from
-degree 3 on it gets p/p' from one Horner pass and its iteration starts on
-a circle of the Cauchy-bound radius.  Quadratic and iterated roots alike
+differs.  Degree <= 2 needs no iteration in either form, nor do the
+critical points of four or three distinct roots: closed forms give those
+points.  A coefficient-form polynomial of degree 1 or 2 gets its roots
+from the linear or the cancellation-free quadratic formula; from degree 3
+on it gets p/p' from one Horner pass and its iteration starts on a circle
+of the Cauchy-bound radius.  Quadratic and iterated roots alike
 get a short Newton polish.  The critical points of a root-form polynomial
 P = prod (x - a_i) need no coefficients (the secular-equation form of Bini
 and Robol, J. Comput. Appl. Math. 272, 2014): with the equal roots grouped
 as b_i of multiplicity m_i, each b_i with m_i > 1 is a critical point of
 multiplicity m_i - 1, and the others are the zeros of f = sum m_i/(x - b_i).
-Two distinct roots leave one of them, in closed form; otherwise Aberth
-runs on the polynomial prod (x - b_i) * f from a circle centred at the
-roots' mean rho (also the mean of all critical points), of radius
-max |a_i - rho|, which by Gauss-Lucas reaches every critical point.  Each
-form clusters the iterates into multiplicities at one tolerance and checks
-every point by its own residual rule.  No linear algebra dependency.
+Two distinct roots leave one of them, in closed form.  Three or four
+roots, all distinct, leave the zeros of a quadratic or a cubic P', which
+the quadratic formula or Cardano's gives, with the signs that avoid
+cancellation (cf. J. Blinn, IEEE CG&A 26-27, 2006-07), in the frame of the
+roots' mean rho (also the mean of all critical points); each point then
+takes one Newton step.  Otherwise, and whenever a closed-form point is not
+finite or fails the residual rule, Aberth runs on the polynomial
+prod (x - b_i) * f from a circle centred at rho, of radius max |a_i - rho|,
+which by Gauss-Lucas reaches every critical point.  Each form clusters the
+iterates into multiplicities at one tolerance and checks every point by its
+own residual rule.  No linear algebra dependency.
 """
 
 from __future__ import annotations
@@ -177,6 +183,37 @@ def _quadratic_roots(b, c):
     return [q, c / q] if q else [q, q]
 
 
+_CUBE_ROOTS_OF_UNITY = (1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75)))
+
+
+def _cubic_roots(a, b, c):
+    """The roots of t^3 + a t^2 + b t + c by Cardano's formula.  With t =
+    s - a/3 the cubic is s^3 + p s + q; s = u - p/(3u) for each cube root u
+    of -(q/2 + r), r = sqrt(q^2/4 + p^3/27) taken with the sign that makes
+    Re(conj(q) r) >= 0, so q/2 and r do not cancel.  u is the principal
+    cube root times each cube root of unity; u = 0 forces q = p = 0, a
+    triple root at -a/3.  An overflow gives non-finite roots, never
+    OverflowError."""
+    shift = a / 3.0
+    p = b - a * shift
+    q = c - shift * (b - 2.0 * shift * shift)
+    half = q / 2.0
+    r = cmath.sqrt(half * half + p * p * p / 27.0)
+    if half.real * r.real + half.imag * r.imag < 0:
+        r = -r
+    cube = -(half + r)
+    if not cmath.isfinite(cube):  # complex ** raises OverflowError on inf
+        return [cube] * 3
+    u = cube ** (1.0 / 3.0)
+    if not u:
+        return [-shift] * 3
+    out = []
+    for w in _CUBE_ROOTS_OF_UNITY:
+        uw = u * w
+        out.append(uw - p / (3.0 * uw) - shift)
+    return out
+
+
 def _polish(coeffs, z):
     val, dval = _horner_pair(coeffs, z)
     best = abs(val)
@@ -318,17 +355,59 @@ def _secular_residual(roots, x):
     return abs(f), scale, abs(prod * f)
 
 
+def _closed_form_points(roots, rho):
+    """The critical points of P = prod (x - a_i) over 3 or 4 distinct
+    roots, in the frame t = x - rho: with E_k the elementary symmetric sums
+    of the centred roots, P'/3 = t^2 - (2/3) E_1 t + E_2/3 goes to the
+    quadratic formula and P'/4 = t^3 - (3/4) E_1 t^2 + (1/2) E_2 t - E_3/4
+    to Cardano's."""
+    if len(roots) == 3:
+        a, b, c = [r - rho for r in roots]
+        s = a + b
+        ts = _quadratic_roots(-2.0 * (s + c) / 3.0, (a * b + s * c) / 3.0)
+    else:
+        a, b, c, d = [r - rho for r in roots]
+        s, u, ab, cd = a + b, c + d, a * b, c * d
+        ts = _cubic_roots(-0.75 * (s + u), 0.5 * (s * u + ab + cd), -0.25 * (ab * u + cd * s))
+    return [rho + t for t in ts]
+
+
+def _newton_once(correction, xs):
+    """Each x after one Newton step of the secular correction, kept only if
+    it is shorter than half the distance to the nearest other x: at a
+    (near-)multiple point the step is rounding noise that leaves x's basin."""
+    out = []
+    for i, x in enumerate(xs):
+        step = correction(x)
+        if step and 2.0 * abs(step) < min([abs(x - y) for j, y in enumerate(xs) if j != i]):
+            x -= step
+        out.append(x)
+    return out
+
+
+def _checked(roots, found):
+    """(x, m, |f(x)|, bound, |P'(x)|) per (x, m) in found, where the
+    backward-error test is |f(x)| <= bound = POLY_RESIDUAL_TOL * sum 1/|x - a_i|."""
+    out = []
+    for x, m in found:
+        fabs, scale, res = _secular_residual(roots, x)
+        out.append((x, m, fabs, POLY_RESIDUAL_TOL * scale, res))
+    return out
+
+
 def critical_points_of_roots(roots) -> RootSet:
     """Critical points of P = prod (x - a) over a tuple of finite complex
     roots (a Poly's stored roots or a C^k coordinate column), counted with
     multiplicity (len(roots) - 1 in total), with no coefficients formed.
 
     A root b of multiplicity m is a critical point of multiplicity m - 1
-    (residual 0).  Every other point, from the closed form for two distinct
-    roots or from the secular iteration, is accepted on its backward error
-    |f(x)| <= POLY_RESIDUAL_TOL * sum 1/|x - a_i| with f = P'/P; its
-    residual is |P'(x)|.  Raises RootFindError when the iteration diverges
-    or a point fails that test.
+    (residual 0).  The others come in closed form for two distinct roots,
+    or for three or four roots with no repeats, else from the secular
+    iteration, which also takes over when a closed-form point is not finite
+    or fails the backward-error test |f(x)| <= POLY_RESIDUAL_TOL *
+    sum 1/|x - a_i| with f = P'/P.  Every point is accepted on that test;
+    its residual is |P'(x)|.  Raises RootFindError when the iteration
+    diverges or a point fails the test.
     """
     n = len(roots)
     if n < 2:
@@ -342,24 +421,29 @@ def critical_points_of_roots(roots) -> RootSet:
         multiple = tuple((b, m - 1) for b, m in zip(distinct, mults) if m > 1)
 
     if d == 1:
-        found = []
+        checked = []
     elif d == 2:  # the zero of m_1/(x - b_1) + m_2/(x - b_2)
-        found = [((mults[1] * distinct[0] + mults[0] * distinct[1]) / n, 1)]
+        checked = _checked(roots, [((mults[1] * distinct[0] + mults[0] * distinct[1]) / n, 1)])
     else:
         rho = sum(roots) / n
-        radius = max([abs(a - rho) for a in roots])
-        guesses = [rho + radius * u for u in _unit_circle(d - 1)]
-        zs = _aberth_sweeps(_secular_correction(roots, multiple), guesses, radius)
-        _require_finite(zs, radius, lambda z: _secular_residual(roots, z)[2])
-        found = _cluster_means(zs)
+        correction = _secular_correction(roots, multiple)
+        checked = None
+        if n == d <= 4:
+            zs = _newton_once(correction, _closed_form_points(roots, rho))
+            if all(cmath.isfinite(z) for z in zs):
+                checked = _checked(roots, _cluster_means(zs))
+                if not all(c[2] <= c[3] for c in checked):
+                    checked = None
+        if checked is None:
+            radius = max([abs(a - rho) for a in roots])
+            guesses = [rho + radius * u for u in _unit_circle(d - 1)]
+            zs = _aberth_sweeps(correction, guesses, radius)
+            _require_finite(zs, radius, lambda z: _secular_residual(roots, z)[2])
+            checked = _checked(roots, _cluster_means(zs))
 
-    checked = [(x, m, *_secular_residual(roots, x)) for x, m in found]
-    for x, _, fabs, scale, _ in checked:
-        if not fabs <= POLY_RESIDUAL_TOL * scale:
-            raise _not_converged(
-                x, fabs, POLY_RESIDUAL_TOL * scale,
-                [c[0] for c in checked], [c[4] for c in checked],
-            )
+    for x, _, fabs, bound, _ in checked:
+        if not fabs <= bound:
+            raise _not_converged(x, fabs, bound, [c[0] for c in checked], [c[4] for c in checked])
     points = [(b, k, 0.0) for b, k in multiple]
     points += [(x, m, res) for x, m, _, _, res in checked]
     return RootSet(*zip(*_by_position(points)))

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -248,3 +249,145 @@ def test_repeated_roots_beside_the_secular_iteration():
     assert sum(rs.multiplicities) == 7
     oracle = find_roots(derivative(Poly(from_roots(roots).coeffs))).expanded()
     assert match_multisets(rs.expanded(), oracle, 1e-6) <= 1e-6
+
+
+def _iterated(monkeypatch, roots):
+    """critical_points_of_roots with the closed form disabled: its points
+    are not finite, so the secular iteration takes over."""
+    from smale_lab import rootfind
+
+    with monkeypatch.context() as m:
+        m.setattr(rootfind, "_closed_form_points", lambda roots, rho: [complex("nan")] * (len(roots) - 1))
+        return critical_points_of_roots(roots)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_three_and_four_roots_take_the_closed_form(degree, monkeypatch):
+    from smale_lab import rootfind
+
+    def no_sweeps(*args):
+        raise AssertionError(f"degree {degree} ran Aberth sweeps")
+
+    monkeypatch.setattr(rootfind, "_aberth_sweeps", no_sweeps)
+    st = Stream(48, degree)
+    for _ in range(200):
+        rs = critical_points_of_roots(tuple(st.complex_in_disk(2.0) for _ in range(degree)))
+        assert sum(rs.multiplicities) == degree - 1
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_closed_form_matches_the_iteration(degree, monkeypatch):
+    # a census: same multiplicities, points within 1e-14 of the root spread
+    st = Stream(49, degree)
+    for _ in range(2000):
+        roots = tuple(st.complex_in_disk(2.0) for _ in range(degree))
+        rs, it = critical_points_of_roots(roots), _iterated(monkeypatch, roots)
+        assert rs.multiplicities == it.multiplicities
+        spread = max(abs(a - b) for a in roots for b in roots)
+        assert max(abs(x - y) for x, y in zip(rs.roots, it.roots)) <= 1e-14 * spread
+
+
+@pytest.mark.parametrize("bad", [
+    lambda points: [points[0] + 0.1] + points[1:],
+    lambda points: [complex(math.inf, k) for k in range(len(points))],
+], ids=["off", "inf"])
+@pytest.mark.parametrize("degree", [3, 4])
+def test_bad_closed_form_point_falls_back_to_the_iteration(degree, bad, monkeypatch):
+    # a closed-form point moved off P' = 0 fails the backward-error test,
+    # and points at infinity fail the finiteness check, so the result is
+    # the iteration's, bit for bit
+    from smale_lab import rootfind
+
+    closed_form = rootfind._closed_form_points
+
+    def planted(roots, rho):
+        return bad(closed_form(roots, rho))
+
+    st = Stream(50, degree)
+    roots = tuple(st.complex_in_disk(2.0) for _ in range(degree))
+    want = _iterated(monkeypatch, roots)
+    monkeypatch.setattr(rootfind, "_closed_form_points", planted)
+    assert critical_points_of_roots(roots) == want
+
+
+def test_repeated_root_among_three_distinct_iterates(monkeypatch):
+    # the closed form takes only distinct roots: (1, 1, 2, 3) iterates once,
+    # and keeps its exact point at the double root
+    from smale_lab import rootfind
+
+    calls = []
+    sweeps = rootfind._aberth_sweeps
+    monkeypatch.setattr(rootfind, "_aberth_sweeps", lambda *a: calls.append(1) or sweeps(*a))
+    roots = (1 + 0j, 1 + 0j, 2 + 0j, 3 + 0j)
+    rs = critical_points_of_roots(roots)
+    assert calls == [1]
+    assert dict(zip(rs.roots, rs.multiplicities))[1 + 0j] == 1
+    oracle = find_roots(derivative(Poly(from_roots(roots).coeffs))).expanded()
+    assert match_multisets(rs.expanded(), oracle, 1e-12) <= 1e-12
+
+
+def _cubic(r1, r2, r3):
+    """(a, b, c) of t^3 + a t^2 + b t + c = (t - r1)(t - r2)(t - r3)."""
+    return complex(-(r1 + r2 + r3)), complex(r1 * r2 + r1 * r3 + r2 * r3), complex(-r1 * r2 * r3)
+
+
+@pytest.mark.parametrize("roots, tol", [
+    ((1, 2, -3), 1e-15),
+    ((1j, -1j, 2), 1e-15),
+    ((0.5 + 0.25j, -1 + 1j, 0.3 - 2j), 1e-14),
+    ((1, 1, -2), 1e-15),  # discriminant exactly 0: a double root
+    ((1, 1 + 1e-7, -2 - 1e-7), 1e-8),  # near-zero discriminant: tol ~ eps / gap
+])
+def test_cubic_formula_known_roots(roots, tol):
+    from smale_lab.rootfind import _cubic_roots
+
+    got = _cubic_roots(*_cubic(*roots))
+    assert match_multisets(got, [complex(r) for r in roots], tol) <= tol
+
+
+def test_cubic_formula_triple_root_is_exact():
+    # p = q = 0: the zero cube root branch
+    from smale_lab.rootfind import _cubic_roots
+
+    assert _cubic_roots(*_cubic(2, 2, 2)) == [2 + 0j] * 3
+    assert _cubic_roots(0j, 0j, 0j) == [0j] * 3
+
+
+def test_cubic_formula_overflow_is_not_finite():
+    from smale_lab.rootfind import _cubic_roots
+
+    got = _cubic_roots(0j, 0j, complex(1e308, 1e308) * 4)
+    assert not any(math.isfinite(abs(z)) for z in got)
+
+
+def test_newton_step_refines_a_simple_point():
+    from smale_lab.rootfind import _newton_once, _secular_correction
+
+    s = 3 ** -0.5  # P = x^3 - x: P' = 3x^2 - 1
+    moved, kept = _newton_once(_secular_correction((-1 + 0j, 0j, 1 + 0j), ()), [s + 1e-6, -s])
+    assert abs(moved - s) <= 1e-11
+    assert kept == -s
+
+
+def test_newton_step_longer_than_half_the_gap_is_refused():
+    from smale_lab.rootfind import _newton_once, _secular_correction
+
+    s = 3 ** -0.5
+    xs = [s + 1e-6, s + 2e-6]  # each step is about 1e-6, the gap 1e-6
+    assert _newton_once(_secular_correction((-1 + 0j, 0j, 1 + 0j), ()), xs) == xs
+
+
+@pytest.mark.parametrize("i", range(6, 12))
+def test_small_square_keeps_its_triple_critical_point(i, monkeypatch):
+    # P' = 4 (x - c)^3 up to input rounding, which splits the triple point
+    # by about 4e-10 (60-digit check).  The Newton step at such a point is
+    # rounding noise far longer than the closed-form points' gaps; taken,
+    # it splits them past the clustering tolerance
+    from smale_lab import rootfind
+
+    monkeypatch.setattr(rootfind, "_aberth_sweeps", None)
+    c = cmath.exp(1j * (0.3 + 0.15 * i))
+    k = 1e-3 * cmath.exp(0.4j * i)
+    rs = critical_points_of_roots(tuple(c + k * 1j ** j for j in range(4)))
+    assert rs.multiplicities == (3,)
+    assert abs(rs.roots[0] - c) <= 1e-9

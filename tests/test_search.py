@@ -436,10 +436,11 @@ class TestHunt:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_root_find_failure_is_raised_not_skipped(self, jobs, monkeypatch):
-        # one Aberth sweep leaves some trials' critical points unconverged
+        # one Aberth sweep leaves some trials' critical points unconverged;
+        # degree 5, since up to four distinct roots take a closed form
         monkeypatch.setattr(rootfind, "_MAX_ITERS", 1)
         with pytest.raises(RootFindError):
-            run_hunt(3, 2, 20, SearchConfig(seed=1), jobs=jobs)
+            run_hunt(5, 2, 20, SearchConfig(seed=1), jobs=jobs)
 
     def test_skips_count_draws_without_an_admissible_point(self, monkeypatch):
         # a margin wider than every sampling disk admits no z at all
