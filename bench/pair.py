@@ -25,7 +25,10 @@ The result goes to ``BENCH_<NAME>.json`` in the working tree:
   ``X.self_s``;
 * ``workloads.W.digests``: the output digest per seed and side, and
   whether the two are equal;
-* ``workloads.W.runs``: ``attempted``, ``failed`` and ``correct`` of every run.
+* ``workloads.W.runs``: ``attempted``, ``failed`` and ``correct`` of every run;
+* ``workloads.W.failures``: each side's failure share (its summed
+  ``failed`` over its summed ``attempted``) and the pairs whose ``failed``
+  counts differ.
 
 The file states what was measured; it does not judge the change.  Only the
 standard library is used, so it runs wherever ``perfbench`` runs.
@@ -147,6 +150,23 @@ def summarize_metrics(specs: list[dict], by_side: dict[str, list[dict]]) -> dict
     return out
 
 
+def failure_shares(runs: list[dict]) -> dict:
+    """Each side's summed ``failed`` over its summed ``attempted`` (None
+    when it attempted nothing), and the pairs whose ``failed`` differ; a run
+    that exited early has neither count."""
+    out = {}
+    for side in ("parent", "change"):
+        done = [r for r in runs if r["side"] == side and r.get("attempted")]
+        attempted = sum(r["attempted"] for r in done)
+        out[side] = sum(r["failed"] for r in done) / attempted if attempted else None
+    by_pair: dict[tuple, dict] = {}
+    for r in runs:
+        by_pair.setdefault((r["pair"], r["seed"]), {})[r["side"]] = r.get("failed")
+    out["failed_differs"] = [{"pair": p, "seed": seed, **f} for (p, seed), f in by_pair.items()
+                             if f.get("parent") != f.get("change")]
+    return out
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -227,6 +247,7 @@ def main(argv=None) -> int:
         entry = {
             "runs": [{k: r.get(k) for k in ("pair", "seed", "side", "exit", "attempted", "failed",
                                             "correct", "error") if k in r} for r in runs[w]],
+            "failures": failure_shares(runs[w]),
             "digests": {},
             "metrics": {},
         }

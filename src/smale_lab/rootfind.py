@@ -1,28 +1,32 @@
 """Simultaneous root finding for polynomials in coefficient or root form.
 
-One Aberth-Ehrlich loop serves both forms; only its Newton correction
-differs.  Degree <= 2 needs no iteration in either form, nor do the
-critical points of four or three distinct roots: closed forms give those
-points.  A coefficient-form polynomial of degree 1 or 2 gets its roots
-from the linear or the cancellation-free quadratic formula; from degree 3
-on it gets p/p' from one Horner pass and its iteration starts on a circle
-of the Cauchy-bound radius.  Quadratic and iterated roots alike
-get a short Newton polish.  The critical points of a root-form polynomial
-P = prod (x - a_i) need no coefficients (the secular-equation form of Bini
-and Robol, J. Comput. Appl. Math. 272, 2014): with the equal roots grouped
-as b_i of multiplicity m_i, each b_i with m_i > 1 is a critical point of
-multiplicity m_i - 1, and the others are the zeros of f = sum m_i/(x - b_i).
-Two distinct roots leave one of them, in closed form.  Three or four
-roots, all distinct, leave the zeros of a quadratic or a cubic P', which
-the quadratic formula or Cardano's gives, with the signs that avoid
-cancellation (cf. J. Blinn, IEEE CG&A 26-27, 2006-07), in the frame of the
-roots' mean rho (also the mean of all critical points); each point then
-takes one Newton step.  Otherwise, and whenever a closed-form point is not
-finite or fails the residual rule, Aberth runs on the polynomial
+Each finder produces iterates and hands them to one acceptance step,
+_accepted: it rejects an iterate that is not finite, clusters the iterates
+into multiplicities by single linkage at one relative tolerance, tests each
+cluster mean by the finder's residual rule, and raises RootFindError,
+naming what produced the points, at the first failure.
+
+The iterates come from closed forms where they exist, else from one
+Aberth-Ehrlich loop whose Newton correction is all that differs between
+the forms.  A coefficient-form polynomial of degree 1 or 2 takes the linear
+or the cancellation-free quadratic formula; from degree 3 on, the loop
+takes p/p' from one Horner pass and starts on a circle of the Cauchy-bound
+radius.  Quadratic and iterated roots get a short Newton polish, and a root
+r passes when |p(r)| is within root_residual_bounds.  The critical points
+of a root-form P = prod (x - a_i) need no coefficients (the secular form
+of Bini and Robol, J. Comput. Appl. Math. 272, 2014): with the equal roots
+grouped as b_i of multiplicity m_i, each b_i with m_i > 1 is a critical
+point of multiplicity m_i - 1, and the others are the zeros of
+f = sum m_i/(x - b_i).  Two distinct roots leave one, in closed form.
+Three or four roots, all distinct, leave the zeros of a quadratic or a
+cubic P', which the quadratic formula or Cardano's gives in the frame of
+the roots' mean rho, with the signs that avoid cancellation (cf. J. Blinn,
+IEEE CG&A 26-27, 2006-07); each point then takes one Newton step.
+Otherwise, or when those points are not accepted, the loop runs on
 prod (x - b_i) * f from a circle centred at rho, of radius max |a_i - rho|,
-which by Gauss-Lucas reaches every critical point.  Each form clusters the
-iterates into multiplicities at one tolerance and checks every point by its
-own residual rule.  No linear algebra dependency.
+which by Gauss-Lucas reaches every critical point.  A critical point x
+passes when |f(x)| <= POLY_RESIDUAL_TOL * sum 1/|x - a_i| (a backward-error
+test).  No linear algebra dependency.
 """
 
 from __future__ import annotations
@@ -229,64 +233,51 @@ def _polish(coeffs, z):
     return z
 
 
-def _cluster(points, tol):
-    """Single-linkage clustering at the given distance tolerance."""
-    n = len(points)
-    close = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(points[i] - points[j]) <= tol
-    ]
-    if not close:
-        return [[z] for z in points]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in close:
-        ra, rb = find(i), find(j)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
-
-
 def _cluster_means(zs):
-    """The iterates as (cluster mean, cluster size) pairs."""
-    clusters = _cluster(zs, _CLUSTER_REL * max(1.0, max(abs(z) for z in zs)))
-    return [(sum(members) / len(members), len(members)) for members in clusters]
+    """The iterates as (cluster mean, cluster size) pairs: single-linkage
+    clusters at _CLUSTER_REL * max(1, largest |iterate|), in the order of
+    their first members, each mean summed in index order.  A lone iterate
+    is its own mean, unsummed: the sum from 0 would turn a -0.0 part into 0.0."""
+    if len(zs) == 1:
+        return [(zs[0], 1)]
+    tol = _CLUSTER_REL * max(1.0, max(abs(z) for z in zs))
+    label = list(range(len(zs)))
+    merged = False
+    for i, z in enumerate(zs):
+        for j in range(i + 1, len(zs)):
+            if abs(z - zs[j]) <= tol and label[j] != label[i]:
+                old, new = label[j], label[i]
+                label = [new if k == old else k for k in label]
+                merged = True
+    if not merged:
+        return [(sum([z]) / 1, 1) for z in zs]  # the groups' means, without the groups
+    groups: dict[int, list[complex]] = {}
+    for k, z in zip(label, zs):
+        groups.setdefault(k, []).append(z)
+    return [(sum(members) / len(members), len(members)) for members in groups.values()]
 
 
-def _require_finite(zs, radius, residual):
-    """Raise RootFindError, with residual(z) at every iterate attached, when
-    the iterates left the finite numbers; ``radius`` is the iteration's
-    start circle, None for the closed-form quadratic."""
-    if not all(cmath.isfinite(z) for z in zs):
-        if radius is None:
-            message = "closed-form quadratic roots diverged: a root overflows"
-        else:
-            message = f"root iteration diverged from the start circle of radius {radius:.3e}"
-        raise RootFindError(
-            message,
-            roots=zs,
-            residuals=[residual(z) for z in zs],
-        )
-
-
-def _not_converged(r, res, bound, roots, residuals):
-    return RootFindError(
-        f"root iteration did not converge within {_MAX_ITERS} sweeps "
-        f"(residual {res:.3e} > {bound:.3e} at |r| = {abs(r):.3e})",
-        roots=roots,
-        residuals=residuals,
-    )
+def _accepted(zs, source, check):
+    """(x, multiplicity, residual) rows, one per cluster mean x of the
+    iterates zs; check(xs) gives each point's (test value, bound, residual),
+    and x passes when its test value is at most its bound.  RootFindError,
+    naming source (what produced zs), when an iterate is not finite (zs
+    attached) or at the first mean that fails (means and residuals attached)."""
+    if not all(map(cmath.isfinite, zs)):
+        raise RootFindError(f"{source} diverged: a point is not finite", roots=zs)
+    means = _cluster_means(zs)
+    tests = check([x for x, _ in means])
+    rows = []
+    for (x, m), (value, bound, res) in zip(means, tests):
+        if not value <= bound:
+            raise RootFindError(
+                f"{source} did not converge (residual {value:.3e} > {bound:.3e} "
+                f"at |r| = {abs(x):.3e})",
+                roots=[x for x, _ in means],
+                residuals=[res for _, _, res in tests],
+            )
+        rows.append((x, m, res))
+    return rows
 
 
 def _by_position(items):
@@ -295,13 +286,10 @@ def _by_position(items):
 
 
 def find_roots(p: Poly) -> RootSet:
-    """All roots of p, clustered into multiplicities.
+    """All roots of p, clustered into multiplicities by _accepted.
 
-    Polished iterates closer than 1e-7 * max(1, largest |iterate|) merge
-    into one root.
-    Raises RootFindError (with the best iterates and residuals attached)
-    if the iteration diverges, or stalls at points that are not
-    acceptable roots by the residual criterion.
+    Raises RootFindError, naming the closed form or the iteration, when a
+    point is not finite or a root fails |p(r)| <= root_residual_bounds.
     """
     n = p.degree
     if n < 1:
@@ -313,33 +301,29 @@ def find_roots(p: Poly) -> RootSet:
     monic = tuple(c / lead for c in p.coeffs)
 
     if n == 1:
-        root = -monic[0]
-        return RootSet((root,), (1,), (abs(evaluate(p, root)),))
-
-    if n == 2:
-        zs, radius = _quadratic_roots(monic[1], monic[0]), None
+        zs, source = [-monic[0]], "closed-form linear root"
+    elif n == 2:
+        zs, source = _quadratic_roots(monic[1], monic[0]), "closed-form quadratic roots"
     else:
         radius = cauchy_root_bound(p)
         guesses = [radius * u for u in _unit_circle(n)]
         zs = _aberth_sweeps(_horner_correction(monic), guesses, radius)
-    zs = [_polish(p.coeffs, z) for z in zs]
-    _require_finite(zs, radius, lambda z: abs(_horner_pair(p.coeffs, z)[0]))
+        source = "root iteration"
+    if n > 1:
+        zs = [_polish(p.coeffs, z) for z in zs]
 
-    reps = _by_position(_cluster_means(zs))
-    roots = tuple(r for r, _ in reps)
-    mults = tuple(m for _, m in reps)
-    residuals = tuple(abs(evaluate(p, r)) for r in roots)
+    def check(xs):
+        residuals = [abs(evaluate(p, x)) for x in xs]
+        return list(zip(residuals, root_residual_bounds(p, xs), residuals))
 
-    for r, res, bound in zip(roots, residuals, root_residual_bounds(p, roots)):
-        if res > bound:
-            raise _not_converged(r, res, bound, roots, residuals)
-    return RootSet(roots, mults, residuals)
+    return RootSet(*zip(*_by_position(_accepted(zs, source, check))))
 
 
 def _secular_residual(roots, x):
-    """(|f(x)|, sum 1/|x - a_i|, |P'(x)|) for P = prod (x - a_i) and
-    f = P'/P = sum 1/(x - a_i), in one pass over the roots, repeats
-    included; (inf, 0, inf) when x is a root."""
+    """(|f(x)|, POLY_RESIDUAL_TOL * sum 1/|x - a_i|, |P'(x)|) for
+    P = prod (x - a_i) and f = P'/P = sum 1/(x - a_i), in one pass over the
+    roots, repeats included; (inf, 0, inf) when x is a root.  x passes the
+    backward-error test when the first entry is at most the second."""
     f = 0j
     scale = 0.0
     prod = 1.0 + 0j
@@ -352,7 +336,7 @@ def _secular_residual(roots, x):
             prod *= d
     except ZeroDivisionError:
         return math.inf, 0.0, math.inf
-    return abs(f), scale, abs(prod * f)
+    return abs(f), POLY_RESIDUAL_TOL * scale, abs(prod * f)
 
 
 def _closed_form_points(roots, rho):
@@ -385,29 +369,16 @@ def _newton_once(correction, xs):
     return out
 
 
-def _checked(roots, found):
-    """(x, m, |f(x)|, bound, |P'(x)|) per (x, m) in found, where the
-    backward-error test is |f(x)| <= bound = POLY_RESIDUAL_TOL * sum 1/|x - a_i|."""
-    out = []
-    for x, m in found:
-        fabs, scale, res = _secular_residual(roots, x)
-        out.append((x, m, fabs, POLY_RESIDUAL_TOL * scale, res))
-    return out
-
-
 def critical_points_of_roots(roots) -> RootSet:
     """Critical points of P = prod (x - a) over a tuple of finite complex
     roots (a Poly's stored roots or a C^k coordinate column), counted with
     multiplicity (len(roots) - 1 in total), with no coefficients formed.
 
     A root b of multiplicity m is a critical point of multiplicity m - 1
-    (residual 0).  The others come in closed form for two distinct roots,
-    or for three or four roots with no repeats, else from the secular
-    iteration, which also takes over when a closed-form point is not finite
-    or fails the backward-error test |f(x)| <= POLY_RESIDUAL_TOL *
-    sum 1/|x - a_i| with f = P'/P.  Every point is accepted on that test;
-    its residual is |P'(x)|.  Raises RootFindError when the iteration
-    diverges or a point fails the test.
+    (residual 0).  Every other point comes from a closed form or the
+    secular iteration (see the module docstring), passes the backward-error
+    test, and reports |P'(x)| as its residual.  Raises RootFindError when
+    the two-root closed form or the iteration gives points that fail.
     """
     n = len(roots)
     if n < 2:
@@ -420,32 +391,29 @@ def critical_points_of_roots(roots) -> RootSet:
         mults = tuple(roots.count(b) for b in distinct)
         multiple = tuple((b, m - 1) for b, m in zip(distinct, mults) if m > 1)
 
-    if d == 1:
-        checked = []
-    elif d == 2:  # the zero of m_1/(x - b_1) + m_2/(x - b_2)
-        checked = _checked(roots, [((mults[1] * distinct[0] + mults[0] * distinct[1]) / n, 1)])
-    else:
+    def check(xs):
+        return [_secular_residual(roots, x) for x in xs]
+
+    points = [(b, k, 0.0) for b, k in multiple]
+    if d == 2:  # the zero of m_1/(x - b_1) + m_2/(x - b_2)
+        x = (mults[1] * distinct[0] + mults[0] * distinct[1]) / n
+        points += _accepted([x], "closed-form critical point", check)
+    elif d > 2:
         rho = sum(roots) / n
         correction = _secular_correction(roots, multiple)
-        checked = None
+        rows = None
         if n == d <= 4:
             zs = _newton_once(correction, _closed_form_points(roots, rho))
-            if all(cmath.isfinite(z) for z in zs):
-                checked = _checked(roots, _cluster_means(zs))
-                if not all(c[2] <= c[3] for c in checked):
-                    checked = None
-        if checked is None:
+            try:
+                rows = _accepted(zs, "closed-form critical points", check)
+            except RootFindError:  # the iteration takes over
+                pass
+        if rows is None:
             radius = max([abs(a - rho) for a in roots])
             guesses = [rho + radius * u for u in _unit_circle(d - 1)]
             zs = _aberth_sweeps(correction, guesses, radius)
-            _require_finite(zs, radius, lambda z: _secular_residual(roots, z)[2])
-            checked = _checked(roots, _cluster_means(zs))
-
-    for x, _, fabs, bound, _ in checked:
-        if not fabs <= bound:
-            raise _not_converged(x, fabs, bound, [c[0] for c in checked], [c[4] for c in checked])
-    points = [(b, k, 0.0) for b, k in multiple]
-    points += [(x, m, res) for x, m, _, _, res in checked]
+            rows = _accepted(zs, "root iteration", check)
+        points += rows
     return RootSet(*zip(*_by_position(points)))
 
 

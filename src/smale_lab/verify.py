@@ -158,17 +158,22 @@ def exact_cstar_quotients(
 def exact_normalized_ratios(
     coeffs: list[complex], witnesses: list[complex]
 ) -> tuple[Fraction, Fraction]:
-    """Exact squared |P(w)/w| extremes for a normalized coefficient poly."""
+    """Exact squared extremes of |P(w) - a_0| / (|w| |a_1|), the quantity
+    the float s0/ds0 read (|P(w)/w| for a normalized P): with
+    P(x) = x B(x) + a_0, it is |B(w)|^2 / |a_1|^2, and B is the coefficient
+    list without a_0."""
     if not witnesses:
         raise PreconditionError("exact re-check needs at least one witness")
-    cs = [XC.of(c) for c in reversed(coeffs)]
+    if len(coeffs) < 2 or coeffs[1] == 0:
+        raise PreconditionError("the normalized ratio needs a_1 != 0")
+    b = [XC.of(c) for c in reversed(coeffs[1:])]
+    a1 = b[-1].abs2()
     ratios = []
     for w in witnesses:
         xw = XC.of(w)
-        w2 = xw.abs2()
-        if w2 == 0:
+        if xw.abs2() == 0:
             raise PreconditionError("|P(w)/w| is undefined at the witness w = 0")
-        ratios.append(_divide(cs, xw)[1].abs2() / w2)
+        ratios.append(_divide(b, xw)[1].abs2() / a1)
     return min(ratios), max(ratios)
 
 

@@ -101,6 +101,28 @@ def test_self_time_per_call_is_left_out_when_a_run_made_no_call():
     assert list(pair.summarize_metrics(specs, by_side)) == ["a.calls", "a.self_s"]
 
 
+def test_failure_shares_sum_each_side_and_name_the_differing_pairs():
+    def run(pair_, side, attempted, failed):
+        return {"pair": pair_, "seed": 10 + pair_, "side": side, "exit": 0,
+                "attempted": attempted, "failed": failed}
+
+    runs = [run(0, "parent", 167, 1), run(0, "change", 185, 1),
+            run(1, "change", 200, 0), run(1, "parent", 190, 0),
+            run(2, "parent", 150, 0), run(2, "change", 160, 2)]
+    out = pair.failure_shares(runs)
+    assert out["parent"] == 1 / (167 + 190 + 150)
+    assert out["change"] == 3 / (185 + 200 + 160)
+    assert out["failed_differs"] == [{"pair": 2, "seed": 12, "parent": 0, "change": 2}]
+
+
+def test_failure_shares_skip_runs_that_exited_early():
+    runs = [{"pair": 0, "seed": 1, "side": "parent", "exit": 1, "error": "boom"},
+            {"pair": 0, "seed": 1, "side": "change", "exit": 0, "attempted": 4, "failed": 0}]
+    out = pair.failure_shares(runs)
+    assert (out["parent"], out["change"]) == (None, 0.0)
+    assert out["failed_differs"] == [{"pair": 0, "seed": 1, "parent": None, "change": 0}]
+
+
 def _git(root, *args):
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                           cwd=root, check=True, capture_output=True, text=True).stdout.strip()

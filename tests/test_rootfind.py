@@ -93,6 +93,33 @@ def test_quadratic_overflow_names_no_start_circle():
     assert "start circle" not in str(info.value)
 
 
+def test_linear_overflow_names_the_closed_form():
+    # the root -1e320 overflows: a RootFindError, not a DomainError from
+    # evaluating p there
+    with pytest.raises(RootFindError, match="closed-form linear root diverged") as info:
+        find_roots(from_coeffs([1e300, 1e-20]))
+    assert info.value.roots == (complex(-math.inf, -0.0),)
+
+
+def test_two_root_overflow_names_the_closed_form():
+    # the critical point (a + b)/2 overflows; no iteration ran
+    with pytest.raises(RootFindError, match="closed-form critical point diverged") as info:
+        critical_points_of_roots((1.5e308 + 0j, 1.6e308 + 0j))
+    assert "iteration" not in str(info.value)
+
+
+def test_failed_iteration_attaches_means_and_residuals(monkeypatch):
+    # one sweep leaves the iterates far from the critical points
+    from smale_lab import rootfind
+
+    monkeypatch.setattr(rootfind, "_MAX_ITERS", 1)
+    st = Stream(51, 6)
+    roots = tuple(st.complex_in_disk(2.0) for _ in range(6))
+    with pytest.raises(RootFindError, match="root iteration did not converge") as info:
+        critical_points_of_roots(roots)
+    assert len(info.value.roots) == len(info.value.residuals) >= 1
+
+
 def test_degree_cap_and_preconditions():
     with pytest.raises(DomainError):
         find_roots(from_coeffs([1]))
@@ -142,6 +169,37 @@ def test_close_roots_stay_distinct():
     # two roots separated by 1e-4 stay distinct at the clustering tolerance
     rs = find_roots(from_roots([0.5, 0.5 + 1e-4]))
     assert len(rs.roots) == 2
+
+
+def _means(zs):
+    from smale_lab.rootfind import _cluster_means
+
+    return _cluster_means(zs)
+
+
+def test_clustering_is_single_linkage_along_a_chain():
+    # |a - b| and |b - c| are within the tolerance 1e-7 (every |z| < 1),
+    # |a - c| is not: one cluster, summed in index order
+    a, b, c, far = 0.5 + 0j, 0.5 + 0.8e-7j, 0.5 + 1.6e-7j, -0.5 + 0j
+    assert abs(a - c) > 1e-7
+    assert _means([a, far, c, b]) == [(sum([a, c, b]) / 3, 3), (sum([far]) / 1, 1)]
+    assert _means([far, c, b, a]) == [(sum([far]) / 1, 1), (sum([c, b, a]) / 3, 3)]
+
+
+def test_a_point_that_bridges_two_groups_merges_them():
+    # p and q are two groups until the last point, within 1e-7 of each
+    p, q, far = 0.25 + 0j, 0.25 + 1.6e-7, 0.75j
+    bridge = 0.25 + 0.8e-7
+    assert _means([p, q, far]) == [(sum([p]) / 1, 1), (sum([q]) / 1, 1), (sum([far]) / 1, 1)]
+    got = _means([p, far, q, bridge])
+    assert got == [(sum([p, q, bridge]) / 3, 3), (sum([far]) / 1, 1)]
+    # the means are the index-order sums, bit for bit
+    assert [repr(x) for x, _ in got] == [repr((p + q + bridge) / 3), repr(0 + far)]
+
+
+def test_a_lone_iterate_is_its_own_mean():
+    assert _means([complex(-2.0, -0.0)])[0][0].imag.hex() == "-0x0.0p+0"
+    assert _means([complex(-2.0, -0.0), 1j])[0][0].imag.hex() == "0x0.0p+0"
 
 
 def test_clustering_follows_the_roots_not_the_cauchy_bound():

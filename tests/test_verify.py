@@ -263,7 +263,8 @@ class TestExactNormalizedRatios:
             exact_cstar_quotients([[1 + 0j], [-1 + 0j]], [2 + 0j], [[]])
 
     def test_matches_power_sum(self):
-        # sum c_i w^i term by term in XC, independent of the synthetic division
+        # B(w) = sum_{i>=1} c_i w^(i-1) term by term in XC, independent of
+        # the synthetic division, over |c_1|^2
         stream = Stream(414)
         for n in (1, 2, 5, 12):
             st_ = stream.derive(n)
@@ -273,11 +274,23 @@ class TestExactNormalizedRatios:
             for w in witnesses:
                 xw = XC.of(w)
                 acc, power = XC(Fraction(0), Fraction(0)), XC(Fraction(1), Fraction(0))
-                for c in coeffs:
+                for c in coeffs[1:]:
                     acc = acc + XC.of(c) * power
                     power = power * xw
-                ratios.append(acc.abs2() / xw.abs2())
+                ratios.append(acc.abs2() / XC.of(coeffs[1]).abs2())
             assert exact_normalized_ratios(coeffs, witnesses) == (min(ratios), max(ratios))
+
+    def test_reads_what_the_float_ratio_reads(self):
+        # a_0 = 1e-13 drops out, as it does from |P(w) - a_0| / (|w| |a_1|):
+        # at w = 1 both give 0.25 exactly
+        lo, hi = exact_normalized_ratios([1e-13 + 0j, 1 + 0j, -0.5 + 0j], [1 + 0j])
+        assert lo == hi == Fraction(1, 4)
+
+    def test_divides_by_a_1(self):
+        lo, _ = exact_normalized_ratios([0j, 2 + 0j, -1 + 0j], [1 + 0j])
+        assert lo == Fraction(1, 4)
+        with pytest.raises(PreconditionError, match="a_1"):
+            exact_normalized_ratios([0j, 0j, 1 + 0j], [1 + 0j])
 
     def test_witness_at_zero_is_precondition_error(self):
         coeffs = [0j, 1 + 0j, -0.5 + 0j]
