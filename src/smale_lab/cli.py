@@ -36,13 +36,14 @@ from .report import (
 from .rootfind import critical_points
 from .search import (
     SearchConfig,
+    extremal_family,
     hunt_mlp,
     mlp_certificate,
     run_hunt,
     search_extremal_ds0,
     search_extremal_s0,
 )
-from .smale import CONJ_SLACK, SampleConfig, bound_report
+from .smale import CONJ_SLACK, SampleConfig, bound_report, s0
 from .verify import Certificate, confirm_normalized
 
 DEFAULT_SEED = 42
@@ -206,6 +207,11 @@ def _cmd_search(ns, seed: int) -> Outcome:
         "conjectured_value": bound,
         "state": search_state_to_json(state),
     }
+    if ns.mode == "s0":
+        # z - z^n/n attains (n-1)/n; a positive gap is a search that stalled
+        attained = s0(extremal_family(n)).ratio
+        body["attained_value"] = attained
+        body["gap"] = attained - state.objective
     return body, [] if cert is None else [cert]
 
 

@@ -121,14 +121,15 @@ def orbit(p: Poly, w0: complex, cfg: OrbitConfig = OrbitConfig()) -> OrbitResult
     The proven escape and petal tests run at w0 and after every step.  A
     cycle found by Brent's comparison is confirmed by going once around,
     which may run past cfg.max_iters by the cycle's length.  The ratio is
-    |B(w0)| = |P(w0) - a_0| / |w0| for P(x) = a_0 + x B(x), |a_1| at w0 = 0.
+    |B(w0)| / |a_1| = |P(w0) - a_0| / (|w0| |a_1|) for P(x) = a_0 + x B(x),
+    1 at w0 = 0: the quantity the exact re-check reads.
     """
     if not is_normalized(p, 1e-10):
         raise PreconditionError("orbit needs p(0) = 0 and p'(0) = 1 within 1e-10")
     w0 = require_finite(w0, "evaluation point")
     lead, *rest = reversed(p.coeffs)
     escapes, in_petal = escape_test(p.coeffs), petal_test(p.coeffs)
-    ratio = quotient_moduli(lead, rest[:-1], [w0])[0]
+    ratio = quotient_moduli(lead, rest[:-1], [w0])[0] / abs(p.coeffs[1])
     z = saved = anchor = w0
     steps = lam = around = 0  # around > 0: steps left to go once around
     power = 1
@@ -185,7 +186,9 @@ def mlp_check(p: Poly, cfg: OrbitConfig = OrbitConfig()) -> tuple[bool, OrbitRes
     if not is_normalized(p, 1e-10):
         raise PreconditionError("mlp_check needs p(0) = 0 and p'(0) = 1")
     crits = critical_points(p).roots
-    scored = list(zip(crits, quotient_moduli(p.coeffs[-1], p.coeffs[-2:0:-1], crits)))
+    a1 = abs(p.coeffs[1])
+    moduli = quotient_moduli(p.coeffs[-1], p.coeffs[-2:0:-1], crits)
+    scored = [(w, q / a1) for w, q in zip(crits, moduli)]
     candidates = [w for w, ratio in scored if ratio <= 1.0 + CONJ_SLACK]
     last: OrbitResult | None = None
     budget = 100

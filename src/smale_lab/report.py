@@ -105,6 +105,7 @@ def search_state_to_json(state: SearchState) -> dict:
         "best_poly_coeffs": [complex_pair(c) for c in state.best_poly.coeffs],
         "restarts_done": state.restarts_done,
         "restart_table": [asdict(r) for r in state.table],
+        "polished": state.polished,
     }
 
 

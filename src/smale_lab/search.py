@@ -2,14 +2,24 @@
 
 The extremal searches parametrize a normalized polynomial by its critical
 points c_1 .. c_{n-1}: the derivative is prod (1 - z/c_j), which fixes
-P'(0) = 1, and integrating with P(0) = 0 fixes the rest.  Moduli live in
-log-radial coordinates with bound constraints, so the optimizer cannot
-drive a critical point to 0 or infinity, and a collision guard keeps the
-objective defined.  The objective is a min (or max) over branches, hence
-not smooth at witness switches; a derivative-free simplex with many seeded
-restarts is used instead of gradients.  The objective runs on the plain
-coefficient list of the decoded polynomial, with no Poly per simplex
-vertex; the reported best polynomial is the one Poly a search builds.
+P'(0) = 1, and integrating with P(0) = 0 fixes the rest.  The objective,
+min (or max) of |P(c)/c| over the critical points, is unchanged by
+c_j -> lambda c_j for every complex lambda != 0 (Tischler, J. Complexity
+1989): the polynomial becomes lambda P(z/lambda).  So the search fixes
+c_1 = 1 and runs over the shape c_2 .. c_{n-1} alone, 2(n-2) real
+parameters; degree 2 has no shape and is evaluated once, with no simplex.
+Moduli live in log-radial coordinates with bound constraints, so the
+optimizer cannot drive a ratio |c_j/c_1| to 0 or infinity, and a collision
+guard keeps the objective defined.  The objective is a min (or max) over
+branches, hence not smooth at witness switches; a derivative-free simplex
+with many seeded restarts is used instead of gradients.  When fewer than
+two restarts end within ``_TIE_TOL`` of the best, the best is taken as
+unconfirmed and one more simplex run starts from it in this process (the
+polish); its result is kept only when strictly better.  It runs after the
+restarts are merged in index order, so the report does not depend on the
+CPU count.  The objective runs on the plain coefficient list of the decoded
+polynomial, with no Poly per simplex vertex; the reported best polynomial
+is the one Poly a search builds.
 """
 
 from __future__ import annotations
@@ -47,11 +57,14 @@ _STREAM_MLP = 31
 
 _ROOT_DRAW_RADIUS = 2.0
 
-# simplex iterations per restart, critical-point moduli in [1e-2, 1e2],
-# and the distance at which two critical points collide (objective inf)
+# simplex iterations per restart, moduli |c_j/c_1| in [1e-2, 1e2], and
+# the distance at which two critical points collide (objective inf)
 _MAX_ITER = 800
 _LOG_RADIUS_BOUNDS = (math.log(1e-2), math.log(1e2))
 _COLLISION_TOL = 1e-6
+# the polish runs unless _POLISH_TIES restarts end within _TIE_TOL of the best
+_TIE_TOL = 1e-9
+_POLISH_TIES = 2
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,7 @@ class SearchState:
     best_poly: Poly
     restarts_done: int
     table: tuple[RestartRecord, ...]
+    polished: bool = False  # whether the polish (module docstring) ran
 
 
 def critical_points_from_params(params) -> list[complex]:
@@ -85,6 +99,11 @@ def critical_points_from_params(params) -> list[complex]:
     exp, cos, sin = math.exp, math.cos, math.sin
     it = iter(params)
     return [complex((r := exp(lr)) * cos(t), r * sin(t)) for lr, t in zip(it, it)]
+
+
+def _shape_frame(params) -> list[complex]:
+    """c_1 = 1 followed by the critical points c_2 .. c_m that params decode."""
+    return [1.0 + 0.0j, *critical_points_from_params(params)]
 
 
 def _normalized_coeffs(cs) -> list[complex]:
@@ -116,7 +135,9 @@ def poly_from_critical_points(cs) -> Poly:
 
 
 def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
-    """Seeded simplex restarts over the 2(n-1) critical-point parameters.
+    """Seeded simplex restarts over the 2(n-2) parameters of c_2 .. c_{n-1},
+    with c_1 = 1, then the polish (module docstring) when the best is
+    unconfirmed.
 
     Each objective call is one pass: decode, the collision loop, the one
     normalization, one ``quotient_moduli`` pass, and only the extreme its
@@ -129,18 +150,37 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
 
     if not 2 <= n <= 12:
         raise DomainError(f"search supports degrees 2..12, got {n}")
-    m = n - 1
+    m = n - 2
     bounds = [_LOG_RADIUS_BOUNDS, (-math.inf, math.inf)] * m
     sign = -1.0 if maximize else 1.0
 
     def objective(x) -> float:
-        cs = critical_points_from_params(x)
+        cs = _shape_frame(x)
         for c, d in combinations(cs, 2):
             if abs(c - d) < _COLLISION_TOL:
                 return math.inf
         coeffs = _normalized_coeffs(cs)
         vals = quotient_moduli(coeffs[-1], coeffs[-2::-1], cs)
         return -min(vals) if maximize else max(vals)
+
+    def better(val: float, than: float) -> bool:
+        return val > than if maximize else val < than
+
+    def simplex(x0) -> tuple[float, list[float]]:
+        res = nelder_mead(
+            objective, x0, maxiter=_MAX_ITER, xatol=1e-9, fatol=1e-11, bounds=bounds
+        )
+        return sign * res.fun, list(res.x)
+
+    if m == 0:
+        # every quadratic is z - z^2/(2 c_1), similar to c_1 = 1: no shape
+        return SearchState(
+            params=(),
+            objective=sign * objective(()),
+            best_poly=poly_from_critical_points(_shape_frame(())),
+            restarts_done=0,
+            table=(),
+        )
 
     stream = Stream(cfg.seed, _STREAM_SEARCH).derive(n).derive(1 if maximize else 2)
 
@@ -150,22 +190,13 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
         for _ in range(m):
             x0.append(st.uniform_in(math.log(0.3), math.log(3.0)))
             x0.append(st.uniform_in(0.0, 2.0 * math.pi))
-        res = nelder_mead(
-            objective,
-            x0,
-            maxiter=_MAX_ITER,
-            xatol=1e-9,
-            fatol=1e-11,
-            bounds=bounds,
-        )
-        return sign * res.fun, list(res.x)
+        return simplex(x0)
 
     best_val: float | None = None
     best_x: list[float] | None = None
     table = []
     for r, (val, x) in enumerate(fan_out(restart, cfg.restarts)):
-        better = best_val is None or (val > best_val if maximize else val < best_val)
-        if math.isfinite(val) and better:
+        if math.isfinite(val) and (best_val is None or better(val, best_val)):
             best_val = val
             best_x = x
         if best_val is None:
@@ -175,13 +206,19 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
 
     if best_x is None:
         raise PreconditionError("no restart reached a finite objective")
-    cs = critical_points_from_params(best_x)
+    ties = sum(abs(rec.objective - best_val) <= _TIE_TOL for rec in table)
+    polished = ties < _POLISH_TIES
+    if polished:
+        val, x = simplex(best_x)
+        if better(val, best_val):
+            best_val, best_x = val, x
     return SearchState(
         params=tuple(best_x),
         objective=best_val,
-        best_poly=poly_from_critical_points(cs),
+        best_poly=poly_from_critical_points(_shape_frame(best_x)),
         restarts_done=cfg.restarts,
         table=tuple(table),
+        polished=polished,
     )
 
 

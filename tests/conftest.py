@@ -244,7 +244,9 @@ class _Caught(Exception):
 
 def search_objective(maximize):
     """The objective that search_extremal_s0 (maximize) or _ds0 hands the
-    simplex, caught at the simplex call."""
+    simplex, caught at the simplex call of a cubic search (a quadratic runs
+    no simplex).  It decodes c_2 .. c_m from parameter vectors of any
+    length and prepends c_1 = 1."""
     caught = []
 
     def catch(func, x0, **kwargs):
@@ -254,7 +256,7 @@ def search_objective(maximize):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "nelder_mead", catch)
         with pytest.raises(_Caught):
-            (search_extremal_s0 if maximize else search_extremal_ds0)(2, SearchConfig(restarts=1))
+            (search_extremal_s0 if maximize else search_extremal_ds0)(3, SearchConfig(restarts=1))
     return caught[0]
 
 

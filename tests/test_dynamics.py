@@ -22,6 +22,7 @@ from smale_lab.report import dumps
 from smale_lab.rootfind import critical_points
 from smale_lab.search import mlp_certificate, random_normalized_poly
 from smale_lab.smale import _normalized_witnesses
+from smale_lab.verify import confirm_normalized
 
 QUAD = from_coeffs([0, 1, -0.5])  # z - z^2/2
 CUBIC = from_coeffs([0, 1, 0, -1 / 3])  # z - z^3/3
@@ -148,10 +149,23 @@ class TestOrbit:
             for wit in _normalized_witnesses(p):
                 assert orbit(p, wit.w, OrbitConfig(max_iters=0)).ratio == wit.quotient
 
-    def test_ratio_at_zero_is_the_first_coefficient(self):
-        # normalized within orbit's 1e-10 but a_1 != 1: the ratio is |a_1|
+    def test_ratio_at_zero_is_one(self):
+        # normalized within orbit's 1e-10 but a_1 != 1: |B(0)| / |a_1| is 1
         for p in (QUAD, from_coeffs([0, 1 + 5e-11, 0.3, -0.2j])):
-            assert orbit(p, 0j).ratio == abs(p.coeffs[1])
+            assert orbit(p, 0j).ratio == 1.0
+
+    def test_ratio_reads_what_the_exact_recheck_reads(self):
+        """With a_1 = 1 + 5e-11, normalized within 1e-10, orbit's and
+        mlp_check's ratio squared is the exact re-check's |B(w)|^2 / |a_1|^2
+        within 1e-14 relative; |B(w)| alone is off by 1e-10."""
+        p = from_coeffs([0, 1 + 5e-11, 0.3, -0.2j])
+        for w in critical_points(p).roots:
+            exact_sq, _ = confirm_normalized("mlp", p.coeffs, [w], 1.0)
+            ratio = orbit(p, w, OrbitConfig(max_iters=0)).ratio
+            assert ratio ** 2 == pytest.approx(exact_sq, rel=1e-14, abs=0.0)
+        _, res = mlp_check(p, OrbitConfig(max_iters=100))
+        exact_sq, _ = confirm_normalized("mlp", p.coeffs, [res.w0], 1.0)
+        assert res.ratio ** 2 == pytest.approx(exact_sq, rel=1e-14, abs=0.0)
 
     def test_identity_has_no_petal(self):
         ident = from_coeffs([0, 1])

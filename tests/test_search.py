@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -34,7 +35,7 @@ from smale_lab.search import (
     search_extremal_ds0,
     search_extremal_s0,
 )
-from smale_lab.smale import _normalized_witnesses, ds0, s0, s_upper_bounds
+from smale_lab.smale import _normalized_witnesses, ds0, quotient_moduli, s0, s_upper_bounds
 from smale_lab.verify import exact_normalized_ratios
 
 FAST = SearchConfig(restarts=16, seed=42)
@@ -80,9 +81,10 @@ def chained_extremes(cs):
 
 
 def chained_objective(x, maximize):
-    """The search objective as the chain critical_points_from_params ->
-    collision check -> chained_extremes, signed for minimization."""
-    cs = critical_points_from_params(x)
+    """The search objective as the chain c_1 = 1 followed by
+    critical_points_from_params -> collision check -> chained_extremes,
+    signed for minimization."""
+    cs = [1.0 + 0.0j, *critical_points_from_params(x)]
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
             if abs(cs[i] - cs[j]) < search._COLLISION_TOL:
@@ -236,9 +238,11 @@ class TestParametrization:
 
     @pytest.mark.parametrize("maximize", [True, False], ids=["s0", "ds0"])
     def test_objective_is_the_chain_bitwise(self, maximize):
-        """Over 2,000 seeded parameter vectors of degree 2-12, the objective
-        equals the chain it replaced bit for bit; about one in seven plants a
-        pair at distance 0.5 or 2 times the collision tolerance."""
+        """Over 2,000 seeded parameter vectors of degree 2-12 (c_2 .. c_{n-1};
+        c_1 = 1 is fixed), the objective equals the chain it replaced bit for
+        bit; about one in seven plants a pair at distance 0.5 or 2 times the
+        collision tolerance, against c_1 at degree 3 and between c_2 and c_3
+        above."""
         objective = search_objective(maximize)
         lo, hi = search._LOG_RADIUS_BOUNDS
         stream = Stream(2611)
@@ -247,11 +251,14 @@ class TestParametrization:
             st = stream.derive(trial)
             n = 2 + trial % 11
             x = []
-            for _ in range(n - 1):
+            for _ in range(n - 2):
                 x += [st.uniform_in(lo, hi), st.uniform_in(-8.0, 8.0)]
             if n > 2 and trial % 7 == 0:
                 gap = (0.5 if trial % 14 else 2.0) * search._COLLISION_TOL
-                x[2:4] = [x[0], x[1] + gap / math.exp(x[0])]
+                if n == 3:
+                    x[0:2] = [math.log1p(gap), 0.0]
+                else:
+                    x[2:4] = [x[0], x[1] + gap / math.exp(x[0])]
             want = chained_objective(x, maximize)
             collided += want == math.inf
             assert objective(x).hex() == want.hex(), (trial, x)
@@ -260,18 +267,20 @@ class TestParametrization:
     def test_objective_is_inf_for_a_colliding_pair(self):
         for maximize in (True, False):
             objective = search_objective(maximize)
-            # two critical points 5e-7 apart on the unit circle, then 2e-6
-            assert objective([0.0, 1.0, 0.0, 1.0 + 5e-7]) == math.inf
-            assert math.isfinite(objective([0.0, 1.0, 0.0, 1.0 + 2e-6]))
+            # c_2 5e-7 from c_1 = 1 on the unit circle, then 2e-6
+            assert objective([0.0, 5e-7]) == math.inf
+            assert math.isfinite(objective([0.0, 2e-6]))
 
     @pytest.mark.parametrize(
         "x, message",
         [
             ([-800.0, 0.0], "product is 0"),
             ([math.nan, 0.0], "coefficient must be finite"),
-            ([math.log(1e150), 0.0, math.log(1e150), 2.0, math.log(1e150), 4.0],
-             "coefficient must be finite"),
-            ([math.log(1e200), 0.0, math.log(1e200), 1e-100], "leading coefficient must be nonzero"),
+            ([math.log(1e200), 0.0, math.log(1e200), 2.0], "coefficient must be finite"),
+            # c_2 = 1e308 e^(i pi/4) and c_3 = -2: P'(0)'s divisor has parts
+            # near 1.4e308, so 1/q_0 is 0 while the other quotients are finite
+            ([math.log(1e308), math.pi / 4, math.log(2.0), math.pi],
+             "leading coefficient must be nonzero"),
         ],
         ids=["zero-product", "nan", "overflow", "zero-leading"],
     )
@@ -287,6 +296,22 @@ class TestParametrization:
         cs = critical_points_from_params([0.0, 0.0, math.log(2.0), math.pi / 2])
         assert cs[0] == pytest.approx(1.0)
         assert cs[1] == pytest.approx(2j)
+
+    def test_extremes_are_invariant_under_scaling(self):
+        """The search fixes c_1 = 1 because P_(lambda c)(z) = lambda P_c(z /
+        lambda): min and max of |P(c)/c| over the critical points agree for
+        c and lambda c within 1e-12 relative, at |lambda| = 1e-2 and 1e2."""
+        stream = Stream(2813)
+        for trial, cs in enumerate(builder_oracle_sets()):
+            st = stream.derive(trial)
+            lo, hi = chained_extremes(cs)
+            for modulus in (1e-2, 1e2):
+                lam = polar(modulus, st.uniform_in(0.0, 2.0 * math.pi))
+                scaled = [lam * c for c in cs]
+                coeffs = _normalized_coeffs(scaled)
+                vals = quotient_moduli(coeffs[-1], coeffs[-2::-1], scaled)
+                assert min(vals) == pytest.approx(lo, rel=1e-12, abs=0.0)
+                assert max(vals) == pytest.approx(hi, rel=1e-12, abs=0.0)
 
 
 class TestExtremalSearch:
@@ -320,6 +345,61 @@ class TestExtremalSearch:
             assert rec.best_so_far >= best - 1e-15
             best = rec.best_so_far
         assert state.restarts_done == 10
+
+    @staticmethod
+    def simplex_starts(monkeypatch) -> list:
+        """The start point of every simplex run, all in this process."""
+        set_cpus(monkeypatch, 1)
+        starts = []
+        nelder_mead = simplex.nelder_mead
+
+        def spy(func, x0, **kwargs):
+            starts.append(list(x0))
+            return nelder_mead(func, x0, **kwargs)
+
+        monkeypatch.setattr(simplex, "nelder_mead", spy)
+        return starts
+
+    def test_polish_runs_when_restarts_disagree(self, monkeypatch):
+        """Ten simplex iterations leave the restarts apart: one more run
+        starts in this process, and the objective is no worse than the best
+        restart's."""
+        monkeypatch.setattr(search, "_MAX_ITER", 10)
+        starts = self.simplex_starts(monkeypatch)
+        for search_fn, better in ((search_extremal_s0, max), (search_extremal_ds0, min)):
+            starts.clear()
+            state = search_fn(4, SearchConfig(restarts=6, seed=4))
+            objectives = [rec.objective for rec in state.table]
+            best = better(objectives)
+            assert sum(abs(v - best) <= search._TIE_TOL for v in objectives) < 2
+            assert state.polished
+            assert len(starts) == 7
+            assert better(state.objective, best) == state.objective
+            assert state.table[-1].best_so_far == best
+
+    def test_agreeing_restarts_run_no_polish(self, monkeypatch):
+        starts = self.simplex_starts(monkeypatch)
+        state = search_extremal_s0(3, SearchConfig(restarts=4, seed=1))
+        assert not state.polished
+        assert len(starts) == 4
+        assert state.objective == state.table[-1].best_so_far
+
+    @pytest.mark.parametrize("search_fn", [search_extremal_s0, search_extremal_ds0],
+                             ids=["s0", "ds0"])
+    def test_quadratic_runs_no_simplex_and_forks_no_worker(self, search_fn, monkeypatch):
+        """Every quadratic is similar to z - z^2/2 (c_1 = 1): one objective
+        call, no simplex, no fan-out."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a quadratic search ran a simplex or a fan-out")
+
+        monkeypatch.setattr(simplex, "nelder_mead", refuse)
+        monkeypatch.setattr(search, "fan_out", refuse)
+        state = search_fn(2, SearchConfig(restarts=8, seed=1))
+        assert state.objective == 0.5
+        assert state.params == ()
+        assert state.best_poly.coeffs == (0j, 1 + 0j, -0.5 + 0j)
+        assert (state.restarts_done, state.table, state.polished) == (0, (), False)
 
     def test_never_exceeds_known_ceilings(self):
         for n in (2, 3, 4, 5):
@@ -378,6 +458,44 @@ class TestSearchCommands:
                 assert cli.run([*argv, "--seed", str(seed), "--out", str(out)]) == 0
                 objective = json.loads(out.read_text())["state"]["objective"]
                 assert abs(objective - want) <= 1e-6, (mode, seed, objective)
+
+
+    @pytest.mark.parametrize(
+        "mode, n, seed, polished",
+        [("s0", 3, 1, False), ("ds0", 4, 3, True)],
+        ids=["unpolished", "polished"],
+    )
+    def test_report_bytes_do_not_depend_on_the_cpu_count(
+        self, mode, n, seed, polished, tmp_path, monkeypatch
+    ):
+        from smale_lab import cli
+
+        out = tmp_path / "report.json"
+        argv = ["search", "--mode", mode, "--degree", str(n), "--restarts", "8",
+                "--seed", str(seed), "--out", str(out)]
+        texts = []
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            assert cli.run(argv) == 0
+            texts.append(re.sub(r',"wall_time_s":[^,}]+', "", out.read_text()))
+        assert texts[0] == texts[1] == texts[2]
+        assert json.loads(texts[0])["state"]["polished"] is polished
+
+    def test_s0_report_shows_the_gap_to_the_extremal_family(self, tmp_path):
+        from smale_lab import cli
+
+        out = tmp_path / "report.json"
+        for mode in ("s0", "ds0"):
+            argv = ["search", "--mode", mode, "--degree", "5", "--restarts", "2",
+                    "--seed", "1", "--out", str(out)]
+            assert cli.run(argv) == 0
+            body = json.loads(out.read_text())
+            if mode == "ds0":
+                assert "attained_value" not in body and "gap" not in body
+                continue
+            assert body["attained_value"] == s0(extremal_family(5)).ratio
+            assert body["attained_value"] == pytest.approx(0.8, abs=1e-12)
+            assert body["gap"] == body["attained_value"] - body["state"]["objective"]
 
 
 class TestExtremalFamily:
