@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("s0", "ds0"), required=True)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--restarts", type=_count, default=SearchConfig.restarts,
-                    help=f"search restarts (default {SearchConfig.restarts})")
+                    help="at most N restarts; stops once two agree "
+                         f"(default {SearchConfig.restarts})")
     common(sp)
 
     sp = sub.add_parser("dynamics", help="critical orbit checks")

@@ -24,7 +24,7 @@ from collections.abc import Callable
 from .errors import SmaleLabError
 
 
-def _cpus() -> int:
+def cpus() -> int:
     """The CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -52,7 +52,7 @@ def _serve(fn: Callable, chunk: range, w: int) -> None:
 def fan_out(fn: Callable, count: int, workers: int | None = None) -> list:
     """``[fn(i) for i in range(count)]`` over ``workers`` processes (by
     default, one per CPU this process may run on)."""
-    parts = min(count, workers or _cpus())
+    parts = min(count, workers or cpus())
     if parts > 1 and hasattr(os, "fork"):
         # imported here, as pickle and signal in _forked: most callers never fork
         import threading

@@ -12,14 +12,18 @@ Moduli live in log-radial coordinates with bound constraints, so the
 optimizer cannot drive a ratio |c_j/c_1| to 0 or infinity, and a collision
 guard keeps the objective defined.  The objective is a min (or max) over
 branches, hence not smooth at witness switches; a derivative-free simplex
-with many seeded restarts is used instead of gradients.  When fewer than
-two restarts end within ``_TIE_TOL`` of the best, the best is taken as
-unconfirmed and one more simplex run starts from it in this process (the
-polish); its result is kept only when strictly better.  It runs after the
-restarts are merged in index order, so the report does not depend on the
-CPU count.  The objective runs on the plain coefficient list of the decoded
-polynomial, with no Poly per simplex vertex; the reported best polynomial
-is the one Poly a search builds.
+with seeded restarts is used instead of gradients.  The restarts stop at
+the first index r at which two of restarts 0 .. r end within ``_TIE_TOL``
+of the best so far: that best is confirmed, and restarts past r are never
+reported.  Restarts run in index order, in batches of one per CPU; a batch
+may run restarts past r, and their results are discarded, so the report
+depends only on the prefix 0 .. r and not on the CPU count.  When the cap
+(``SearchConfig.restarts``) is reached with no two restarts agreeing, the
+best is unconfirmed and one more simplex run starts from it in this
+process (the polish); its result is kept only when strictly better.  The
+objective runs on the plain coefficient list of the decoded polynomial,
+with no Poly per simplex vertex; the reported best polynomial is the one
+Poly a search builds.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .cstar import (
 )
 from .dynamics import OrbitConfig, OrbitResult, mlp_check
 from .errors import DomainError, PreconditionError, SmaleLabError
-from .fanout import fan_out
+from .fanout import cpus, fan_out
 from .polycore import (
     Poly,
     from_coeffs,
@@ -62,9 +66,10 @@ _ROOT_DRAW_RADIUS = 2.0
 _MAX_ITER = 800
 _LOG_RADIUS_BOUNDS = (math.log(1e-2), math.log(1e2))
 _COLLISION_TOL = 1e-6
-# the polish runs unless _POLISH_TIES restarts end within _TIE_TOL of the best
+# the best is confirmed once _CONFIRM_TIES restarts end within _TIE_TOL of
+# it: the restarts stop there, and the polish runs only when none confirms
 _TIE_TOL = 1e-9
-_POLISH_TIES = 2
+_CONFIRM_TIES = 2
 
 
 @dataclass(frozen=True)
@@ -136,14 +141,14 @@ def poly_from_critical_points(cs) -> Poly:
 
 def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
     """Seeded simplex restarts over the 2(n-2) parameters of c_2 .. c_{n-1},
-    with c_1 = 1, then the polish (module docstring) when the best is
-    unconfirmed.
+    with c_1 = 1, until two agree (module docstring), then the polish when
+    none did.
 
     Each objective call is one pass: decode, the collision loop, the one
     normalization, one ``quotient_moduli`` pass, and only the extreme its
-    direction needs (-min for s0, max for ds0).  Restarts fan out to
-    worker processes; the table is built from their results in restart
-    order.
+    direction needs (-min for s0, max for ds0).  Each batch of restarts
+    fans out to one worker process per CPU; the table is built from their
+    results in restart order, up to the restart that confirms the best.
     """
     # imported on first use: callers that never search skip its load time
     from .simplex import nelder_mead
@@ -194,20 +199,30 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
 
     best_val: float | None = None
     best_x: list[float] | None = None
-    table = []
-    for r, (val, x) in enumerate(fan_out(restart, cfg.restarts)):
-        if math.isfinite(val) and (best_val is None or better(val, best_val)):
-            best_val = val
-            best_x = x
-        if best_val is None:
-            # every table row records a finite best so far
-            break
-        table.append(RestartRecord(r, val, best_val))
+    table: list[RestartRecord] = []
+    width = cpus()
+    done = 0  # restarts in the prefix: the stop index plus one, or the cap
+    confirmed = False
+    while not confirmed and done < cfg.restarts:
+        start = done
+        batch = fan_out(lambda i: restart(start + i),
+                        min(width, cfg.restarts - start), workers=width)
+        for r, (val, x) in enumerate(batch, start):
+            done = r + 1
+            if not math.isfinite(val):
+                # reports hold finite numbers only: no row, a gap in the indices
+                continue
+            if best_val is None or better(val, best_val):
+                best_val, best_x = val, x
+            table.append(RestartRecord(r, val, best_val))
+            ties = sum(abs(rec.objective - best_val) <= _TIE_TOL for rec in table)
+            if ties >= _CONFIRM_TIES:
+                confirmed = True
+                break  # restarts past r in this batch are discarded
 
     if best_x is None:
         raise PreconditionError("no restart reached a finite objective")
-    ties = sum(abs(rec.objective - best_val) <= _TIE_TOL for rec in table)
-    polished = ties < _POLISH_TIES
+    polished = not confirmed
     if polished:
         val, x = simplex(best_x)
         if better(val, best_val):
@@ -216,7 +231,7 @@ def _search(n: int, cfg: SearchConfig, maximize: bool) -> SearchState:
         params=tuple(best_x),
         objective=best_val,
         best_poly=poly_from_critical_points(_shape_frame(best_x)),
-        restarts_done=cfg.restarts,
+        restarts_done=done,
         table=tuple(table),
         polished=polished,
     )

@@ -261,7 +261,8 @@ def search_objective(maximize):
 
 
 def set_cpus(monkeypatch, n: int) -> None:
-    """Make fanout.fan_out size itself to n workers, as on an n-CPU host."""
+    """Make fanout.cpus report n, so fan_out and the search's restart
+    batches size themselves as on an n-CPU host."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 

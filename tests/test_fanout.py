@@ -48,26 +48,32 @@ def test_in_process_for_one_unit_one_worker_or_running_threads(monkeypatch):
     assert not thread.is_alive()
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_searches_and_sweeps_equal_at_every_worker_count(cpus, monkeypatch):
-    set_cpus(monkeypatch, 1)
-    want = (
+def searches_and_sweeps():
+    return (
+        # stops at restart 1: a 3-CPU batch runs restart 2 and discards it
         search_extremal_s0(3, SearchConfig(restarts=5, seed=3)),
-        search_extremal_ds0(4, SearchConfig(restarts=4, seed=3)),
+        # stops at restart 4: 2- and 3-CPU batches run restart 5 and discard it
+        search_extremal_ds0(4, SearchConfig(restarts=8, seed=4)),
+        # no two of its 5 restarts agree: the cap is reached and the polish runs
+        search_extremal_ds0(4, SearchConfig(restarts=5, seed=3)),
         hunt_mlp(3, 30, seed=8),
         # no orbit steps: every trial is a certificate, in trial order
         hunt_mlp(4, 7, seed=8, cfg=OrbitConfig(max_iters=0)),
     )
-    assert len(want[3][0]) == 7 and want[3][1] == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_searches_and_sweeps_equal_at_every_worker_count(cpus, monkeypatch):
+    set_cpus(monkeypatch, 1)
+    want = searches_and_sweeps()
+    assert [(s.restarts_done, s.polished) for s in want[:3]] == [
+        (2, False), (5, False), (5, True)
+    ]
+    assert len(want[4][0]) == 7 and want[4][1] == 0
     set_cpus(monkeypatch, cpus)
-    got = (
-        search_extremal_s0(3, SearchConfig(restarts=5, seed=3)),
-        search_extremal_ds0(4, SearchConfig(restarts=4, seed=3)),
-        hunt_mlp(3, 30, seed=8),
-        hunt_mlp(4, 7, seed=8, cfg=OrbitConfig(max_iters=0)),
-    )
+    got = searches_and_sweeps()
     assert got == want
-    assert [c.trial for c in got[3][0]] == list(range(7))
+    assert [c.trial for c in got[4][0]] == list(range(7))
     assert_no_children()
 
 

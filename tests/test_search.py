@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -339,12 +340,17 @@ class TestExtremalSearch:
         assert abs(s0(state.best_poly).ratio - state.objective) <= 1e-10
 
     def test_restart_table_monotone(self):
-        state = search_extremal_s0(3, SearchConfig(restarts=10, seed=9))
-        best = -math.inf
+        """ds0 at n = 4, seed 2: no two of restarts 0 .. 7 agree, restart 8
+        ties the best, and the table stops there, short of the cap of 10."""
+        state = search_extremal_ds0(4, SearchConfig(restarts=10, seed=2))
+        best = math.inf
         for rec in state.table:
-            assert rec.best_so_far >= best - 1e-15
+            assert rec.best_so_far <= best
             best = rec.best_so_far
-        assert state.restarts_done == 10
+        assert [rec.index for rec in state.table] == list(range(9))
+        assert state.restarts_done == 9 and not state.polished
+        ties = [rec for rec in state.table if abs(rec.objective - best) <= search._TIE_TOL]
+        assert len(ties) == 2 and ties[-1] is state.table[-1]
 
     @staticmethod
     def simplex_starts(monkeypatch) -> list:
@@ -378,11 +384,40 @@ class TestExtremalSearch:
             assert state.table[-1].best_so_far == best
 
     def test_agreeing_restarts_run_no_polish(self, monkeypatch):
+        """ds0 at n = 4, seed 4: restart 4 ties restart 3, so five simplex
+        runs of the cap of 8, and no polish."""
         starts = self.simplex_starts(monkeypatch)
-        state = search_extremal_s0(3, SearchConfig(restarts=4, seed=1))
+        state = search_extremal_ds0(4, SearchConfig(restarts=8, seed=4))
         assert not state.polished
-        assert len(starts) == 4
+        assert len(starts) == state.restarts_done == 5
         assert state.objective == state.table[-1].best_so_far
+
+    def test_two_agreeing_restarts_stop_the_search(self, monkeypatch):
+        """s0 at n = 3: restarts 0 and 1 both reach 2/3, and no third
+        simplex run starts."""
+        starts = self.simplex_starts(monkeypatch)
+        state = search_extremal_s0(3, SearchConfig(restarts=8, seed=1))
+        assert len(starts) == 2
+        assert state.restarts_done == 2 and not state.polished
+        assert [rec.index for rec in state.table] == [0, 1]
+        assert abs(state.table[0].objective - state.table[1].objective) <= search._TIE_TOL
+
+    def test_non_finite_restart_leaves_a_gap_not_an_error(self, monkeypatch):
+        """Restart 0 ends non-finite: it gets no table row, and restarts 1
+        and 2 confirm the best."""
+        starts = self.simplex_starts(monkeypatch)
+        nelder_mead = simplex.nelder_mead
+
+        def first_diverges(func, x0, **kwargs):
+            res = nelder_mead(func, x0, **kwargs)
+            return dataclasses.replace(res, fun=math.inf) if len(starts) == 1 else res
+
+        monkeypatch.setattr(simplex, "nelder_mead", first_diverges)
+        state = search_extremal_s0(3, SearchConfig(restarts=4, seed=1))
+        assert len(starts) == 3
+        assert [rec.index for rec in state.table] == [1, 2]
+        assert state.restarts_done == 3 and not state.polished
+        assert state.objective == pytest.approx(2 / 3, abs=1e-9)
 
     @pytest.mark.parametrize("search_fn", [search_extremal_s0, search_extremal_ds0],
                              ids=["s0", "ds0"])
